@@ -419,13 +419,14 @@ def bench_epoch(ues_list, ref_ues: int, budget_m: float, n_tti: int) -> dict:
     Unlike :func:`bench_city` (steady-state placement + MAC), each
     point drives the real controller end to end — localization on a
     deduped sample, altitude search, REM seeding, trajectory planning
-    over dedup waypoints, measurement flight, streamed
-    uncertainty-discounted placement — then serves the population
-    through OLLA and the sharded MAC.  Streamed points run at every
-    population size (work saturates at the occupied REM-key cells, so
-    wall time and peak allocation stay flat); the materialized per-UE
-    reference runs once at ``ref_ues`` and anchors the
-    ``--min-epoch-speedup`` gate.
+    over dedup waypoints, measurement flight, uncertainty-discounted
+    placement — then serves the population through OLLA and the
+    sharded MAC.  REM-key-deduped points run at every population size
+    (work saturates at the occupied REM-key cells, so wall time and
+    peak allocation stay flat); the per-UE reference (one REM per UE)
+    runs once at ``ref_ues`` and anchors the ``--min-epoch-speedup``
+    gate.  Peak allocation is the tracemalloc peak of a span this
+    bench wraps around the whole call.
     """
     from repro.city import CityScenario  # noqa: E402
 
@@ -433,18 +434,18 @@ def bench_epoch(ues_list, ref_ues: int, budget_m: float, n_tti: int) -> dict:
         scenario = CityScenario.create(n_ues=n_ues, seed=0)
         perf.reset()
         t0 = time.perf_counter()
-        out = scenario.run_controller_epoch(
-            budget_m=budget_m, n_tti=n_tti, per_ue=per_ue
-        )
+        with perf.span("bench.controller_epoch", track_memory=True):
+            out = scenario.run_controller_epoch(
+                budget_m=budget_m, n_tti=n_tti, per_ue=per_ue
+            )
         wall = time.perf_counter() - t0
-        stat = perf.spans()["city.controller_epoch"]
+        stat = perf.spans()["bench.controller_epoch"]
         return {
             "n_ues": n_ues,
             "per_ue": per_ue,
             "wall_s": wall,
             "peak_alloc_bytes": stat.peak_alloc_bytes,
             "max_rss_bytes": stat.max_rss_bytes,
-            "streamed": bool(out["streamed"]),
             "n_rem_groups": out["n_rem_groups"],
             "altitude_m": float(out["altitude_m"]),
             "min_snr_db": float(out["min_snr_db"]),
@@ -454,10 +455,10 @@ def bench_epoch(ues_list, ref_ues: int, budget_m: float, n_tti: int) -> dict:
 
     points = [run_point(n, per_ue=False) for n in ues_list]
     reference = run_point(ref_ues, per_ue=True)
-    streamed_at_ref = next((p for p in points if p["n_ues"] == ref_ues), None)
-    if streamed_at_ref is None:
-        streamed_at_ref = run_point(ref_ues, per_ue=False)
-        points.append(streamed_at_ref)
+    deduped_at_ref = next((p for p in points if p["n_ues"] == ref_ues), None)
+    if deduped_at_ref is None:
+        deduped_at_ref = run_point(ref_ues, per_ue=False)
+        points.append(deduped_at_ref)
     return {
         "terrain": "large",
         "budget_m": budget_m,
@@ -465,8 +466,8 @@ def bench_epoch(ues_list, ref_ues: int, budget_m: float, n_tti: int) -> dict:
         "points": points,
         "reference": reference,
         "speedup": (
-            reference["wall_s"] / streamed_at_ref["wall_s"]
-            if streamed_at_ref["wall_s"] > 0
+            reference["wall_s"] / deduped_at_ref["wall_s"]
+            if deduped_at_ref["wall_s"] > 0
             else float("inf")
         ),
     }
@@ -671,13 +672,13 @@ def main(argv=None) -> int:
         "--epoch-ues",
         type=str,
         default="1000,10000,100000",
-        help="comma-separated population sizes for streamed epoch points",
+        help="comma-separated population sizes for REM-key-deduped epoch points",
     )
     parser.add_argument(
         "--epoch-ref-ues",
         type=int,
         default=10000,
-        help="population size of the materialized per-UE reference epoch",
+        help="population size of the per-UE reference epoch (one REM per UE)",
     )
     parser.add_argument(
         "--epoch-budget-m",
@@ -692,7 +693,7 @@ def main(argv=None) -> int:
         "--min-epoch-speedup",
         type=float,
         default=3.0,
-        help="with --epoch, fail if the streamed epoch is not at least "
+        help="with --epoch, fail if the deduped epoch is not at least "
         "this many times faster than the per-UE reference at the "
         "reference population (generous CI floor; 0 = report only)",
     )
@@ -700,8 +701,9 @@ def main(argv=None) -> int:
         "--max-epoch-alloc-mb",
         type=float,
         default=256.0,
-        help="with --epoch, fail if any streamed point's tracemalloc peak "
-        "exceeds this many MB (generous CI bound; 0 = report only)",
+        help="with --epoch, fail if any deduped point's tracemalloc peak "
+        "over the whole epoch call exceeds this many MB (generous CI "
+        "bound; 0 = report only)",
     )
     args = parser.parse_args(argv)
 
@@ -780,7 +782,7 @@ def main(argv=None) -> int:
         payload["epoch"] = epoch
         for pt in epoch["points"]:
             print(
-                f"[epoch] {pt['n_ues']:>7d} UEs streamed: {pt['wall_s']:.2f} s, "
+                f"[epoch] {pt['n_ues']:>7d} UEs deduped: {pt['wall_s']:.2f} s, "
                 f"peak alloc {pt['peak_alloc_bytes'] / 1e6:.1f} MB, "
                 f"{pt['n_rem_groups']} REM groups, "
                 f"min SNR {pt['min_snr_db']:.1f} dB, "
@@ -791,7 +793,7 @@ def main(argv=None) -> int:
             f"[epoch] {ref['n_ues']:>7d} UEs per-UE reference: "
             f"{ref['wall_s']:.2f} s, "
             f"peak alloc {ref['peak_alloc_bytes'] / 1e6:.1f} MB "
-            f"-> streamed speedup {epoch['speedup']:.2f}x"
+            f"-> dedup speedup {epoch['speedup']:.2f}x"
         )
 
     if not args.skip_headline:
@@ -890,23 +892,27 @@ def main(argv=None) -> int:
             )
             return 1
     if epoch is not None:
-        not_streamed = [p["n_ues"] for p in epoch["points"] if not p["streamed"]]
-        if not_streamed:
+        not_deduped = [
+            p["n_ues"] for p in epoch["points"] if p["n_rem_groups"] >= p["n_ues"]
+        ]
+        if not_deduped:
             print(
-                "FAIL: epoch points did not take the streamed path: "
-                + ", ".join(map(str, not_streamed)),
+                "FAIL: epoch points did not dedup REMs below one per UE: "
+                + ", ".join(map(str, not_deduped)),
                 file=sys.stderr,
             )
             return 1
-        if epoch["reference"]["streamed"]:
+        ref = epoch["reference"]
+        if ref["n_rem_groups"] != ref["n_ues"]:
             print(
-                "FAIL: per-UE reference epoch took the streamed path",
+                f"FAIL: per-UE reference epoch used {ref['n_rem_groups']} REM "
+                f"groups for {ref['n_ues']} UEs",
                 file=sys.stderr,
             )
             return 1
         if args.min_epoch_speedup > 0 and epoch["speedup"] < args.min_epoch_speedup:
             print(
-                f"FAIL: streamed epoch speedup {epoch['speedup']:.2f}x "
+                f"FAIL: deduped epoch speedup {epoch['speedup']:.2f}x "
                 f"< required {args.min_epoch_speedup:.2f}x",
                 file=sys.stderr,
             )
@@ -915,7 +921,7 @@ def main(argv=None) -> int:
         alloc_mb = worst["peak_alloc_bytes"] / 1e6
         if args.max_epoch_alloc_mb > 0 and alloc_mb > args.max_epoch_alloc_mb:
             print(
-                f"FAIL: streamed epoch peak allocation {alloc_mb:.1f} MB at "
+                f"FAIL: deduped epoch peak allocation {alloc_mb:.1f} MB at "
                 f"{worst['n_ues']} UEs > bound {args.max_epoch_alloc_mb:.0f} MB",
                 file=sys.stderr,
             )

@@ -31,9 +31,13 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from repro.backend import get_backend
 from repro.perf import perf
 from repro.terrain.heightmap import Terrain
+
+def _count_below(zs: np.ndarray, surface: np.ndarray) -> np.ndarray:
+    """Per-row int64 count of ray samples strictly below the surface."""
+    return np.count_nonzero(zs < surface, axis=1)
+
 
 #: Default arc-length between ray samples, in meters.  Half the 1 m
 #: grid pitch comfortably catches single-cell obstacles.
@@ -196,7 +200,7 @@ def _blocked_fractions(
             surface = terrain.heights_at_xy(xs, ys)
             zsel = zs[:, cols]
             perf.count("raytrace.samples_traced", zsel.size)
-            out[sel] = get_backend().count_below(zsel, surface) / n_steps
+            out[sel] = _count_below(zsel, surface) / n_steps
     return out
 
 

@@ -245,11 +245,11 @@ class CityScenario:
         """Build (and cache) a SkyRAN controller over this population.
 
         ``per_ue=False`` registers one representative UE per occupied
-        REM key cell and configures the controller to always stream
-        (``stream_epoch_threshold=1``) — the city path, whose work
-        saturates at the key-grid size.  ``per_ue=True`` registers the
-        *whole* population and pins the materialized pipeline — the
-        per-UE reference the epoch bench measures speedups against.
+        REM key cell and dedups REMs at the key cell size — the city
+        path, whose work saturates at the key-grid size.
+        ``per_ue=True`` registers the *whole* population with one REM
+        per UE (no key pitch) — the per-UE reference the epoch bench
+        measures speedups against.
 
         Representative positions are ground truth (the generator knows
         them), so they enter through ``known_positions`` except for a
@@ -300,8 +300,9 @@ class CityScenario:
         }
 
         cfg = SkyRANConfig(
-            stream_epoch_threshold=1 if not per_ue else 10**9,
-            rem_key_pitch_m=float(self.population.rem_key_grid.cell_size),
+            rem_key_pitch_m=(
+                None if per_ue else float(self.population.rem_key_grid.cell_size)
+            ),
         )
         controller = SkyRANController(
             self.channel,
@@ -332,16 +333,16 @@ class CityScenario:
         this drives the real :class:`~repro.core.controller.
         SkyRANController` end to end — localization on a deduped
         sample, first-epoch altitude search, REM seeding/measurement,
-        trajectory planning over dedup waypoints, streamed
-        uncertainty-discounted placement — then serves the whole
-        population through OLLA and the city MAC at the chosen
-        position.  ``per_ue=True`` runs the materialized per-UE
-        reference instead (bench baseline; O(population) REM state).
+        trajectory planning over dedup waypoints, uncertainty-discounted
+        placement — then serves the whole population through OLLA and
+        the city MAC at the chosen position.  ``per_ue=True`` runs the
+        per-UE reference instead (bench baseline; O(population) REM
+        state).
         """
         controller = self._controller_for(
             per_ue=per_ue, loc_sample=loc_sample, seed=seed
         )
-        with perf.span("city.controller_epoch", track_memory=True):
+        with perf.span("city.controller_epoch"):
             result = controller.run_epoch(budget_m)
             snr = self.serving_snr_db(result.placement.position.as_array())
             effective = snr
@@ -354,7 +355,6 @@ class CityScenario:
         return {
             "placement": result.placement,
             "epoch": result,
-            "streamed": result.streamed,
             "n_rem_groups": result.n_rem_groups,
             "altitude_m": result.altitude_m,
             "min_snr_db": result.placement.min_snr_db,

@@ -66,7 +66,6 @@ def uncertainty_penalty_db(
     measured_mask: np.ndarray,
     rate_db_per_m: float,
     cap_db: float,
-    rows: Optional[slice] = None,
 ) -> Optional[np.ndarray]:
     """Distance-to-nearest-measurement placement discount (capped).
 
@@ -76,11 +75,6 @@ def uncertainty_penalty_db(
     (capped) keeps max-min placement honest.  Returns None when the
     rate is non-positive or nothing is measured — the caller serves
     the map undiscounted, exactly as before the discount existed.
-
-    ``rows`` restricts the output to one row-band of the grid.  The
-    nearest-measured-cell query is independent per cell against the
-    global measured set, so a band is bit-identical to slicing the
-    full penalty — the property the streamed placement fold relies on.
     """
     if rate_db_per_m <= 0:
         return None
@@ -91,15 +85,8 @@ def uncertainty_penalty_db(
 
     centers = grid.centers_flat()
     tree = cKDTree(centers[mask])
-    if rows is None:
-        query = centers
-        shape = grid.shape
-    else:
-        band = centers.reshape(grid.ny, grid.nx, 2)[rows]
-        shape = band.shape[:2]
-        query = band.reshape(-1, 2)
-    d, _ = tree.query(query)
-    return np.minimum(rate_db_per_m * d, cap_db).reshape(shape)
+    d, _ = tree.query(centers)
+    return np.minimum(rate_db_per_m * d, cap_db).reshape(grid.shape)
 
 
 def find_optimal_altitude(

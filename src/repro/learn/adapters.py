@@ -21,12 +21,6 @@ predictions are bias + noise; only confident ones act) and clipped to
 with non-finite predictions zeroed and counted.  Every refusal path
 bumps a ``learn.fallback.*`` perf counter so runs can prove how often
 the model actually spoke.
-
-There is deliberately **no** ``interpolate_tile``: per-tile matmuls can
-differ from the full-map matmul by an ulp across BLAS batch shapes,
-which would break the tile==slice contract the streaming path asserts.
-Streaming REM queries on a ``learned`` REM therefore take the existing
-``rem.tile_fallback`` full-map path.
 """
 
 from __future__ import annotations

@@ -19,9 +19,18 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.backend import get_backend
 from repro.channel.fspl import SPEED_OF_LIGHT
 from repro.perf import perf
+
+
+def _cis(theta: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out = exp(1j * theta)`` written into ``out`` (which may be a view).
+
+    cos/sin are the bit-exactness contract of the SRS chain.
+    """
+    out.real = np.cos(theta)
+    out.imag = np.sin(theta)
+    return out
 
 
 def zadoff_chu(root: int, length: int) -> np.ndarray:
@@ -380,7 +389,7 @@ def apply_channel_batch(
         theta = (fa[:cols][None, :] * scaled_delays[:, None]) / n_fft
         out = np.empty((len(scaled_delays), w), dtype=complex)
         front = out[:, :cols]
-        get_backend().cis(theta, front)
+        _cis(theta, front)
         if half is not None:
             out[:, half:] = np.conj(front[:, ::-1])
         return out

@@ -46,7 +46,7 @@ class SpanStat:
     """Accumulated statistics for one named span.
 
     ``peak_alloc_bytes`` / ``max_rss_bytes`` stay 0 unless the span was
-    entered with ``track_memory=True``; they record the worst call
+    entered with ``track_memory`` set; they record the worst call
     (high-water marks, not accumulations).
     """
 
@@ -80,13 +80,15 @@ class PerfRegistry:
     def span(self, name: str, track_memory: bool = False) -> Iterator[None]:
         """Time a ``with`` block under ``name`` (accumulating).
 
-        With ``track_memory=True`` the span additionally records the
+        With ``track_memory`` set the span additionally records the
         peak tracemalloc allocation size reached inside the block and
         the process peak RSS at exit — the numbers the city-scale
         memory gates assert.  Tracing is started on demand (and stopped
         again if this span started it), so untracked spans pay nothing;
-        tracked spans pay tracemalloc's allocation-hook overhead, so
-        reserve the flag for coarse, bench-level spans.
+        tracked spans pay tracemalloc's allocation-hook overhead.
+        Entering a tracked span resets tracemalloc's peak, which hides
+        the peak of any tracked span around it — so the flag belongs
+        on coarse, bench-level spans only, never inside product code.
         """
         if not self.enabled:
             yield

@@ -95,69 +95,3 @@ def idw_interpolate(
 
     out[missing] = est
     return out
-
-
-def idw_interpolate_rows(
-    grid: GridSpec,
-    values: np.ndarray,
-    rows: slice,
-    power: float = 2.0,
-    k_neighbors: int = 12,
-    max_distance_m: Optional[float] = None,
-    fallback: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """One row-band of :func:`idw_interpolate`, bit-identical per cell.
-
-    IDW estimates are per-cell k-NN queries against the *global* set of
-    measured cells, so restricting the query points to a band of rows
-    changes nothing per cell while the work and output drop to
-    O(band).  This is what lets city-scale REM consumers stream
-    interpolated maps tile-by-tile instead of materializing them.
-
-    Returns the ``(n_rows, nx)`` interpolated block for ``rows``.
-    """
-    if power <= 0:
-        raise ValueError(f"power must be positive, got {power}")
-    if k_neighbors < 1:
-        raise ValueError(f"k_neighbors must be >= 1, got {k_neighbors}")
-    values = np.asarray(values, dtype=float)
-    if values.shape != grid.shape:
-        raise ValueError(f"values shape {values.shape} != grid shape {grid.shape}")
-
-    sub = values[rows]
-    out = sub.copy()
-    measured = ~np.isnan(values)
-    missing_sub = np.isnan(sub)
-    if not missing_sub.any():
-        return out
-    if not measured.any():
-        if fallback is not None:
-            return np.asarray(fallback, dtype=float)[rows].copy()
-        return out
-
-    centers = grid.centers_flat()  # row-major (iy, ix) order
-    measured_flat = measured.ravel()
-    tree = cKDTree(centers[measured_flat])
-    measured_vals = values.ravel()[measured_flat]
-
-    band = centers.reshape(grid.ny, grid.nx, 2)[rows].reshape(-1, 2)
-    query_pts = band[missing_sub.ravel()]
-    k = min(k_neighbors, int(measured_flat.sum()))
-    dist, idx = tree.query(query_pts, k=k)
-    dist = np.atleast_2d(dist.T).T if dist.ndim == 1 else dist
-    idx = np.atleast_2d(idx.T).T if idx.ndim == 1 else idx
-
-    dist = np.maximum(dist, 1e-9)
-    weights = 1.0 / dist**power
-    est = np.sum(weights * measured_vals[idx], axis=1) / np.sum(weights, axis=1)
-
-    if max_distance_m is not None:
-        too_far = dist[:, 0] > max_distance_m
-        if fallback is not None:
-            fb = np.asarray(fallback, dtype=float)[rows].ravel()[missing_sub.ravel()]
-            est[too_far] = fb[too_far]
-        else:
-            est[too_far] = np.nan
-
-    out[missing_sub] = est
-    return out

@@ -24,8 +24,8 @@ from typing import Callable, Dict, Optional, Protocol, Tuple, runtime_checkable
 import numpy as np
 
 from repro.geo.grid import GridSpec
-from repro.rem.idw import idw_interpolate, idw_interpolate_rows
-from repro.rem.kriging import kriging_interpolate, kriging_interpolate_rows
+from repro.rem.idw import idw_interpolate
+from repro.rem.kriging import kriging_interpolate
 
 
 @runtime_checkable
@@ -78,31 +78,6 @@ class IDWInterpolator:
             fallback=fallback,
         )
 
-    def interpolate_tile(
-        self,
-        grid: GridSpec,
-        values: np.ndarray,
-        rows: slice,
-        measured_mask: Optional[np.ndarray] = None,
-        fallback: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """One row-band of the interpolated map (O(band) work/output).
-
-        Optional protocol extension consumed by
-        :func:`repro.rem.streaming.interpolate_tile`; bit-identical to
-        slicing :meth:`interpolate`'s result because IDW estimates are
-        independent per-cell k-NN queries.
-        """
-        return idw_interpolate_rows(
-            grid,
-            _masked_values(values, measured_mask),
-            rows,
-            power=self.power,
-            k_neighbors=self.k_neighbors,
-            max_distance_m=self.max_distance_m,
-            fallback=fallback,
-        )
-
 
 @dataclass(frozen=True, kw_only=True)
 class KrigingInterpolator:
@@ -121,31 +96,6 @@ class KrigingInterpolator:
         return kriging_interpolate(
             grid,
             _masked_values(values, measured_mask),
-            k_neighbors=self.k_neighbors,
-            variogram=self.variogram,
-            fallback=fallback,
-        )
-
-    def interpolate_tile(
-        self,
-        grid: GridSpec,
-        values: np.ndarray,
-        rows: slice,
-        measured_mask: Optional[np.ndarray] = None,
-        fallback: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """One row-band of the interpolated map (O(band) solves/output).
-
-        Optional protocol extension consumed by
-        :func:`repro.rem.streaming.interpolate_tile`; bit-identical to
-        slicing :meth:`interpolate`'s result because local-OK solves
-        are independent per target cell and the variogram fit sees only
-        the global measured set.
-        """
-        return kriging_interpolate_rows(
-            grid,
-            _masked_values(values, measured_mask),
-            rows,
             k_neighbors=self.k_neighbors,
             variogram=self.variogram,
             fallback=fallback,

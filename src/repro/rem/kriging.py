@@ -91,9 +91,7 @@ def _krige_points(
     """Local-OK estimates at ``q_pts`` from the global measured set.
 
     Each target point is solved independently from its ``k`` nearest
-    measured neighbours, so any subset of query points yields the same
-    per-point estimates as the full set — the property the row-band
-    path relies on for bit-identity with the full-map path.
+    measured neighbours.
     """
     sill, range_m, nugget = variogram
     k = min(k_neighbors, len(m_pts))
@@ -180,58 +178,4 @@ def kriging_interpolate(
     tree = cKDTree(m_pts)
     q_pts = centers[missing.ravel()]
     out[missing] = _krige_points(q_pts, m_pts, m_vals, tree, k_neighbors, variogram)
-    return out
-
-
-def kriging_interpolate_rows(
-    grid: GridSpec,
-    values: np.ndarray,
-    rows: slice,
-    k_neighbors: int = 12,
-    variogram: Optional[tuple] = None,
-    fallback: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """One row-band of :func:`kriging_interpolate`, bit-identical per cell.
-
-    Local OK solves one ``(k+1)``-system per target cell against the
-    *global* measured set, and the variogram (given or fitted) depends
-    only on that global set — so restricting the target cells to a band
-    of rows changes nothing per cell while the work and output drop to
-    O(band).  This is the kriging counterpart of
-    :func:`repro.rem.idw.idw_interpolate_rows`, letting the streamed
-    epoch pipeline keep kriging REMs tile-resident instead of silently
-    rematerializing full maps.
-
-    Returns the ``(n_rows, nx)`` interpolated block for ``rows``.
-    """
-    if k_neighbors < 1:
-        raise ValueError(f"k_neighbors must be >= 1, got {k_neighbors}")
-    values = np.asarray(values, dtype=float)
-    if values.shape != grid.shape:
-        raise ValueError(f"values shape {values.shape} != grid shape {grid.shape}")
-
-    sub = values[rows]
-    out = sub.copy()
-    measured = ~np.isnan(values)
-    missing_sub = np.isnan(sub)
-    if not missing_sub.any():
-        return out
-    if not measured.any():
-        if fallback is not None:
-            return np.asarray(fallback, dtype=float)[rows].copy()
-        return out
-
-    centers = grid.centers_flat()
-    m_flat = measured.ravel()
-    m_pts = centers[m_flat]
-    m_vals = values.ravel()[m_flat]
-    if variogram is None:
-        variogram = fit_variogram(m_pts, m_vals)
-
-    tree = cKDTree(m_pts)
-    band = centers.reshape(grid.ny, grid.nx, 2)[rows].reshape(-1, 2)
-    q_pts = band[missing_sub.ravel()]
-    out[missing_sub] = _krige_points(
-        q_pts, m_pts, m_vals, tree, k_neighbors, variogram
-    )
     return out

@@ -115,29 +115,6 @@ class REM:
             self.grid, self.measured_values(), fallback=self.prior
         )
 
-    def interpolated_tile(
-        self,
-        rows: slice,
-        method: "str | Interpolator" = "idw",
-        **params,
-    ) -> np.ndarray:
-        """One row-band of :meth:`interpolated` (O(band) work/output).
-
-        Delegates to :func:`repro.rem.streaming.interpolate_tile`, so
-        interpolators exposing the tile protocol produce just the band
-        (bit-identical to slicing the full map) and anything else falls
-        back to full-map interpolation behind the ``rem.tile_fallback``
-        perf counter.  ``params`` resolve registry names exactly like
-        :meth:`interpolated`'s keyword arguments.
-        """
-        from repro.rem.streaming import interpolate_tile
-
-        if isinstance(method, str):
-            method = make_interpolator(method, **params)
-        return interpolate_tile(
-            method, self.grid, self.measured_values(), rows, fallback=self.prior
-        )
-
     # -- lifecycle ---------------------------------------------------------------
 
     def rekeyed(self, new_ue_xyz: np.ndarray) -> "REM":

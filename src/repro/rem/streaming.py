@@ -25,14 +25,13 @@ chunking:
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.placement import PlacementResult, uncertainty_penalty_db
 from repro.geo.grid import GridSpec
 from repro.geo.points import Point3D
-from repro.perf import perf
 from repro.rem.aggregate import argmax_cell
 
 #: A streamed map tile: which UEs, which grid rows, and the
@@ -154,106 +153,40 @@ def streamed_interference_max_min_placement(
     )
 
 
-def interpolate_tile(
-    interpolator,
-    grid: GridSpec,
-    values: np.ndarray,
-    rows: slice,
-    measured_mask: Optional[np.ndarray] = None,
-    fallback: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """One row-band of an interpolated map, via the cheapest exact path.
-
-    Interpolators that implement ``interpolate_tile`` (IDW and kriging
-    do — their estimates are per-cell queries/solves, so a band costs
-    O(band)) are asked for just the band; anything else falls back to
-    interpolating the full map and slicing, which is exact by
-    construction but silently rematerializes — the fallback bumps the
-    ``rem.tile_fallback`` perf counter so a streamed pipeline that is
-    secretly O(grid)-per-band shows up in BENCH artifacts.
-    """
-    tile = getattr(interpolator, "interpolate_tile", None)
-    if tile is not None:
-        return tile(grid, values, rows, measured_mask=measured_mask, fallback=fallback)
-    perf.count("rem.tile_fallback")
-    full = interpolator.interpolate(
-        grid, values, measured_mask=measured_mask, fallback=fallback
-    )
-    return full[rows].copy()
-
-
-def row_bands(ny: int, tile_rows: int) -> List[slice]:
-    """Contiguous row slices covering ``range(ny)`` in bands."""
-    if tile_rows < 1:
-        raise ValueError(f"tile_rows must be >= 1, got {tile_rows}")
-    return [slice(r, min(r + tile_rows, ny)) for r in range(0, ny, tile_rows)]
-
-
 def streamed_discounted_min_map(
     grid: GridSpec,
     rems: Sequence,
     interpolator,
     *,
-    tile_rows: int = 64,
     penalty_rate_db_per_m: float = 0.0,
     penalty_cap_db: float = float("inf"),
-    row_slices: Optional[Sequence[slice]] = None,
-    collect_maps: bool = False,
-) -> Tuple[np.ndarray, Optional[List[np.ndarray]]]:
+) -> Tuple[np.ndarray, List[np.ndarray]]:
     """Uncertainty-discounted min-SNR surface folded REM-by-REM.
 
-    The streamed heart of the controller's Step 8: for each REM the
-    interpolated map is produced one row-band at a time
-    (:func:`interpolate_tile`), discounted by the band of its
+    The heart of the controller's Step 8: each REM's interpolated map
+    (:meth:`repro.rem.map.REM.interpolated`) is discounted by its
     distance-to-nearest-measurement penalty
-    (:func:`repro.core.placement.uncertainty_penalty_db`), and folded
-    into the running cell-wise minimum — the per-UE map *stack* is
-    never materialized, so peak state is O(grid) + O(band) regardless
-    of how many REMs stream through.
+    (:func:`repro.core.placement.uncertainty_penalty_db`) and folded
+    into the running cell-wise minimum, so the discounted map *stack*
+    is never built.  Bit-identical to ``np.min`` over the stack of
+    discounted maps (a min-fold is exact, and NaN poisons a cell in
+    both).  A non-positive penalty rate or a measurement-free REM
+    skips the discount.
 
-    Bit-identical to the materialized path (interpolate each REM
-    fully, discount, ``np.min`` over the stack) for **every** tiling:
-    interpolation and penalty are independent per cell against each
-    REM's global measured set, and a min-fold commutes with chunking
-    (NaN poisons a cell in both paths).  A non-positive penalty rate
-    or a measurement-free REM skips the discount, exactly like the
-    materialized `_uncertainty_discounted`.
-
-    ``rems`` are :class:`repro.rem.map.REM`-shaped objects
-    (``measured_values()``, ``measured_mask``, ``prior``).
-    ``row_slices`` overrides the default ``tile_rows`` banding (the
-    property tests feed ragged tilings).  With ``collect_maps`` the
-    *undiscounted* full map of each REM is also assembled band-by-band
-    and returned (O(n_rems × grid) — the dedup-bounded epoch result,
-    not a per-UE stack).
+    ``rems`` are :class:`repro.rem.map.REM` objects.  Returns
+    ``(min_map, maps)``: ``maps`` holds each REM's *undiscounted*
+    interpolated map, in order.
     """
-    bands = list(row_slices) if row_slices is not None else row_bands(grid.ny, tile_rows)
     out = np.full(grid.shape, np.inf)
-    maps: Optional[List[np.ndarray]] = [] if collect_maps else None
-    seen = False
+    maps: List[np.ndarray] = []
     for rem in rems:
-        seen = True
-        values = rem.measured_values()
-        full = np.empty(grid.shape) if collect_maps else None
-        for rows in bands:
-            block = interpolate_tile(
-                interpolator, grid, values, rows, fallback=rem.prior
-            )
-            if collect_maps:
-                full[rows] = block
-            penalty = uncertainty_penalty_db(
-                grid,
-                rem.measured_mask,
-                penalty_rate_db_per_m,
-                penalty_cap_db,
-                rows=rows,
-            )
-            if penalty is not None:
-                block = block - penalty
-            np.minimum(out[rows], block, out=out[rows])
-        if collect_maps:
-            maps.append(full)
-    if not seen:
+        full = rem.interpolated(method=interpolator)
+        maps.append(full)
+        penalty = uncertainty_penalty_db(
+            grid, rem.measured_mask, penalty_rate_db_per_m, penalty_cap_db
+        )
+        np.minimum(out, full if penalty is None else full - penalty, out=out)
+    if not maps:
         raise ValueError("need at least one REM")
     return out, maps
 
@@ -264,29 +197,23 @@ def streamed_discounted_max_min_placement(
     interpolator,
     altitude: float,
     *,
-    tile_rows: int = 64,
     penalty_rate_db_per_m: float = 0.0,
     penalty_cap_db: float = float("inf"),
-    row_slices: Optional[Sequence[slice]] = None,
-    collect_maps: bool = False,
-) -> Tuple[PlacementResult, Optional[List[np.ndarray]]]:
-    """Max–min placement over streamed, uncertainty-discounted REMs.
+) -> Tuple[PlacementResult, List[np.ndarray]]:
+    """Max–min placement over uncertainty-discounted REMs.
 
     Folds :func:`streamed_discounted_min_map` and takes its argmax —
-    the streamed counterpart of the controller's materialized
-    ``interpolate → discount → max_min_placement`` sequence, with the
-    same first-max row-major tie-break.  Returns
-    ``(placement, maps)``; ``maps`` is None unless ``collect_maps``.
+    the same first-max row-major tie-break as
+    :func:`repro.core.placement.max_min_placement` over the discounted
+    maps.  Returns ``(placement, maps)`` with each REM's undiscounted
+    interpolated map.
     """
     mm, maps = streamed_discounted_min_map(
         grid,
         rems,
         interpolator,
-        tile_rows=tile_rows,
         penalty_rate_db_per_m=penalty_rate_db_per_m,
         penalty_cap_db=penalty_cap_db,
-        row_slices=row_slices,
-        collect_maps=collect_maps,
     )
     iy, ix = argmax_cell(mm)
     x, y = grid.center_of(ix, iy)

@@ -64,11 +64,9 @@ class EpochRecord:
     attaches / detaches / rach_collisions / barred:
         Event-layer control-plane counters accumulated since the
         previous epoch (None outside ``scheme="events"``).
-    streamed / rem_groups:
-        Whether the controller ran the streamed REM-key-deduplicated
-        epoch pipeline (False on its materialized path), and how many
-        dedup groups it used (None on materialized epochs).  Both None
-        for controllers without the streamed path and in old traces.
+    rem_groups:
+        REM-key dedup groups the controller's epoch used (None for
+        controllers without REM-key dedup and in old traces).
     """
 
     epoch: int
@@ -90,7 +88,6 @@ class EpochRecord:
     detaches: Optional[int] = None
     rach_collisions: Optional[int] = None
     barred: Optional[int] = None
-    streamed: Optional[bool] = None
     rem_groups: Optional[int] = None
 
 
@@ -242,7 +239,6 @@ def run_epochs(
             served_mbps=None if mac is None else mac["served_mbps"],
             backlog_bytes=None if mac is None else mac["backlog_bytes"],
             dropped_bytes=None if mac is None else mac["dropped_bytes"],
-            streamed=getattr(result, "streamed", None),
             rem_groups=getattr(result, "n_rem_groups", None),
         )
         records.append(record)

@@ -30,7 +30,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.backend import get_backend
 from repro.lte.throughput import PRB_PER_10MHZ, throughput_mbps
 from repro.perf import perf
 from repro.traffic.generators import (
@@ -202,6 +201,31 @@ def _constant_schedulable(
     return rate_ok & (fb | always)
 
 
+def _mac_slab_serve(
+    grants: np.ndarray,
+    rates: np.ndarray,
+    backlog0: np.ndarray,
+    accepted: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Drain a whole full-buffer TTI slab in one shot.
+
+    ``grants`` is ``(n_ues, n_tti)`` int64, ``rates``/``backlog0`` are
+    per-UE, ``accepted`` is the admitted arrivals matrix.  Returns
+    ``(served, backlog_end)`` with the exact recurrence of the scalar
+    kernel: ``avail = backlog + accepted``,
+    ``served = min(avail, grants * rates)`` — independent per TTI
+    because an infinite backlog never changes.
+    """
+    cap = grants * rates[:, None]
+    avail = backlog0[:, None] + accepted
+    served = np.minimum(avail, cap)
+    if accepted.shape[1]:
+        backlog_end = (avail - served)[:, -1]
+    else:
+        backlog_end = backlog0.copy()
+    return served, backlog_end
+
+
 def _run_kernel(
     rates: np.ndarray,
     offered: np.ndarray,
@@ -230,7 +254,7 @@ def _run_kernel(
             dropped = offered.copy()
         else:
             dropped = np.zeros_like(offered)
-        served, backlog = get_backend().mac_slab_serve(
+        served, backlog = _mac_slab_serve(
             grants, rates, queues.backlog_bytes, offered - dropped
         )
         perf.count("sched.slab_tti", int(n_tti))

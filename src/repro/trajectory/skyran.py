@@ -125,7 +125,7 @@ class SkyRANPlanner:
             omitted.
         aggregate:
             Precomputed aggregate REM (Step 6.1's cell-wise sum).  The
-            streamed epoch pipeline folds it incrementally
+            controller's epoch folds it incrementally
             (:func:`repro.rem.aggregate.aggregate_rem_running`) instead
             of materializing the per-UE stack; passing it here skips
             the internal :func:`aggregate_rem` and lets ``rem_maps`` be

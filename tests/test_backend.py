@@ -1,108 +1,25 @@
-"""The array-backend seam: registry semantics and op bit-identity.
+"""Hot-kernel inner ops vs their inline references.
 
-The contract under test is narrow but strict: whatever backend is
-selected (env var, explicit name, fallback), every kernel result must
-be bit-identical to the numpy reference.  On this container numba is
-not installed, so the numba tests split in two: the fallback behavior
-(warning + counter + numpy instance) is tested unconditionally, and
-the real JIT equivalence test gates on ``importorskip``.
+The ray tracer's sample-below-surface count, the SRS kernel's
+phase-ramp synthesis and the MAC full-buffer slab drain are each one
+small private op next to its kernel; these tests pin every op to the
+inline numpy it must reproduce bit-for-bit.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.backend import (
-    BACKEND_ENV,
-    available_backends,
-    get_backend,
-    reset_backend_cache,
-)
-from repro.backend.numpy_backend import NumpyBackend
-from repro.perf import perf
-
-pytestmark = pytest.mark.backend
-
-
-def _has_numba() -> bool:
-    try:
-        import numba  # noqa: F401
-
-        return True
-    except ImportError:
-        return False
-
-
-@pytest.fixture(autouse=True)
-def _fresh_registry(monkeypatch):
-    """Isolate each test from cached instances and the env knob."""
-    monkeypatch.delenv(BACKEND_ENV, raising=False)
-    reset_backend_cache()
-    yield
-    reset_backend_cache()
-
-
-# -- registry -------------------------------------------------------------------
-
-
-def test_default_is_numpy():
-    b = get_backend()
-    assert b.name == "numpy"
-    assert isinstance(b, NumpyBackend)
-
-
-def test_available_names_resolve_or_fall_back():
-    for name in available_backends():
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert get_backend(name) is not None
-
-
-def test_unknown_backend_raises():
-    with pytest.raises(ValueError, match="unknown backend"):
-        get_backend("cupy")
-
-
-def test_env_var_selects_backend(monkeypatch):
-    monkeypatch.setenv(BACKEND_ENV, "numpy")
-    assert get_backend().name == "numpy"
-
-
-def test_resolution_is_cached():
-    assert get_backend("numpy") is get_backend("numpy")
-    reset_backend_cache()
-    # A fresh instance after a cache reset, but still the same type.
-    assert isinstance(get_backend("numpy"), NumpyBackend)
-
-
-def test_numba_fallback_warns_once_and_counts(monkeypatch):
-    if _has_numba():
-        pytest.skip("numba installed; fallback path unreachable")
-    monkeypatch.setenv(BACKEND_ENV, "numba")
-    before = perf.counter("backend.fallback")
-    with pytest.warns(RuntimeWarning, match="falling back"):
-        b = get_backend()
-    assert isinstance(b, NumpyBackend)
-    assert perf.counter("backend.fallback") == before + 1
-    # Second resolution: cached instance, no second warning.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert get_backend() is b
-
-
-# -- op reference semantics -----------------------------------------------------
+from repro.channel.raytrace import _count_below
+from repro.lte.srs import _cis
+from repro.traffic.simulate import _mac_slab_serve
 
 
 def test_count_below_matches_inline_reference():
     rng = np.random.default_rng(0)
     zs = rng.normal(10.0, 5.0, size=(37, 19))
     surface = rng.normal(10.0, 5.0, size=(37, 19))
-    got = get_backend("numpy").count_below(zs, surface)
+    got = _count_below(zs, surface)
     expected = np.count_nonzero(zs < surface, axis=1)
     assert got.dtype == np.int64
     assert np.array_equal(got, expected)
@@ -112,7 +29,7 @@ def test_cis_matches_inline_reference_including_views():
     rng = np.random.default_rng(1)
     theta = rng.uniform(-np.pi, np.pi, size=24)
     buf = np.zeros(48, dtype=complex)
-    out = get_backend("numpy").cis(theta, buf[:24])  # view, as the SRS kernel does
+    out = _cis(theta, buf[:24])  # view, as the SRS kernel does
     expected = np.cos(theta) + 1j * np.sin(theta)
     assert np.array_equal(out, expected)
     assert np.array_equal(buf[:24], expected)
@@ -126,9 +43,7 @@ def test_mac_slab_serve_matches_scalar_recurrence():
     rates = rng.uniform(0.0, 2000.0, size=n)
     backlog0 = np.where(rng.random(n) < 0.5, np.inf, rng.uniform(0, 1e5, n))
     accepted = rng.uniform(0.0, 3000.0, size=(n, t))
-    served, backlog_end = get_backend("numpy").mac_slab_serve(
-        grants, rates, backlog0, accepted
-    )
+    served, backlog_end = _mac_slab_serve(grants, rates, backlog0, accepted)
     exp_served = np.empty((n, t))
     exp_backlog = backlog0.copy()
     for i in range(n):
@@ -155,7 +70,7 @@ def test_mac_slab_serve_matches_scalar_recurrence():
 
 def test_mac_slab_serve_zero_tti():
     backlog0 = np.array([np.inf, 123.0])
-    served, backlog_end = get_backend("numpy").mac_slab_serve(
+    served, backlog_end = _mac_slab_serve(
         np.zeros((2, 0), dtype=np.int64),
         np.array([100.0, 50.0]),
         backlog0,
@@ -164,78 +79,3 @@ def test_mac_slab_serve_zero_tti():
     assert served.shape == (2, 0)
     assert np.array_equal(backlog_end, backlog0)
     assert backlog_end is not backlog0
-
-
-# -- env invariance (the fallback makes numba == numpy on this machine) ---------
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    seed=st.integers(0, 2**31 - 1),
-    n_rays=st.integers(1, 16),
-    n_samples=st.integers(1, 32),
-)
-def test_results_invariant_to_backend_env_without_numba(seed, n_rays, n_samples):
-    """With numba absent, every env value yields numpy-identical results."""
-    if _has_numba():
-        pytest.skip("numba installed; the env genuinely changes backends")
-    rng = np.random.default_rng(seed)
-    zs = rng.normal(0.0, 3.0, size=(n_rays, n_samples))
-    surface = rng.normal(0.0, 3.0, size=(n_rays, n_samples))
-    theta = rng.uniform(-4.0, 4.0, size=n_samples)
-    results = {}
-    for env in ("numpy", "numba"):
-        reset_backend_cache()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            b = get_backend(env)
-        out = np.zeros(n_samples, dtype=complex)
-        results[env] = (b.count_below(zs, surface).copy(), b.cis(theta, out).copy())
-    assert np.array_equal(results["numpy"][0], results["numba"][0])
-    assert np.array_equal(results["numpy"][1], results["numba"][1])
-
-
-# -- real numba equivalence (runs only where numba exists) ----------------------
-
-
-@pytest.mark.skipif(not _has_numba(), reason="numba not installed")
-def test_numba_ops_bit_identical_to_numpy():
-    from repro.backend.numba_backend import NumbaBackend
-
-    rng = np.random.default_rng(3)
-    zs = rng.normal(10.0, 5.0, size=(29, 41))
-    surface = rng.normal(10.0, 5.0, size=(29, 41))
-    grants = rng.integers(0, 6, size=(13, 17))
-    rates = rng.uniform(0.0, 2000.0, size=13)
-    backlog0 = np.where(rng.random(13) < 0.5, np.inf, 0.0)
-    accepted = rng.uniform(0.0, 3000.0, size=(13, 17))
-
-    ref = NumpyBackend()
-    jit = NumbaBackend()
-    assert np.array_equal(
-        jit.count_below(zs, surface), ref.count_below(zs, surface)
-    )
-    s_jit, b_jit = jit.mac_slab_serve(grants, rates, backlog0, accepted)
-    s_ref, b_ref = ref.mac_slab_serve(grants, rates, backlog0, accepted)
-    assert np.array_equal(s_jit, s_ref)
-    assert np.array_equal(b_jit, b_ref)
-
-
-# -- the seam end to end: a kernel result does not depend on the env knob -------
-
-
-def test_raytrace_result_invariant_to_backend_env(box_terrain, monkeypatch):
-    from repro.channel.raytrace import obstructed_lengths
-
-    tx = np.array([[50.0, 50.0, 80.0]])
-    rx = np.array([[10.0, 90.0, 1.5]])
-
-    monkeypatch.setenv(BACKEND_ENV, "numpy")
-    reset_backend_cache()
-    a = obstructed_lengths(box_terrain, tx, rx, 1.0)
-    monkeypatch.setenv(BACKEND_ENV, "numba")
-    reset_backend_cache()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        b = obstructed_lengths(box_terrain, tx, rx, 1.0)
-    assert np.array_equal(a, b)

@@ -326,7 +326,6 @@ def test_population_validation(terrain):
 
 def test_controller_epoch_streams_and_serves(city):
     out = city.run_controller_epoch(budget_m=120.0, n_tti=10, loc_sample=2)
-    assert out["streamed"] is True
     keys, _reps, _inv = city.population.unique_rem_cells()
     # One registered representative per occupied REM key cell; a
     # *localized* rep's estimate can stray into a neighbouring cell
@@ -347,14 +346,13 @@ def test_controller_epoch_known_positions_cover_non_sampled_reps(city):
     assert len(ctrl.known_positions) == n_reps - 2
 
 
-def test_controller_epoch_per_ue_reference_is_materialized():
+def test_controller_epoch_per_ue_reference_has_one_group_per_ue():
     small = CityScenario.create(
         terrain_name="campus", cell_size_m=8.0, n_ues=12, seed=1, eval_cell_m=32.0
     )
     out = small.run_controller_epoch(
         budget_m=80.0, n_tti=5, loc_sample=2, per_ue=True
     )
-    assert out["streamed"] is False
-    assert out["n_rem_groups"] is None
+    assert out["n_rem_groups"] == 12
     assert len(out["epoch"].rem_maps) == 12
     assert np.isfinite(out["min_snr_db"])

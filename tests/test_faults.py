@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import SkyRANConfig
+from repro.core.controller import SkyRANController
 from repro.core.epoch import EpochTrigger
 from repro.faults import FaultInjector, FaultPlan, as_injector
 from repro.localization.multilateration import (
@@ -60,6 +61,17 @@ def _run(scenario, faults=None, scheme: str = "skyran", n_epochs: int = 2) -> Ru
         seed=7,
         altitude=60.0,
     )
+
+
+class _Mean:
+    """An interpolator with only ``interpolate``: the measured mean everywhere."""
+
+    def interpolate(self, grid, values, measured_mask=None, fallback=None):
+        out = np.asarray(values, dtype=float).copy()
+        if np.isnan(out).all():
+            return np.asarray(fallback, dtype=float).copy()
+        out[np.isnan(out)] = np.nanmean(out)
+        return out
 
 
 # -- config/plan validation -------------------------------------------------------
@@ -245,13 +257,7 @@ class TestInterpolatorRegistry:
         assert interp.k_neighbors == 6  # power silently dropped
 
     def test_register_and_resolve_custom(self):
-        class Mean:
-            def interpolate(self, grid, values, measured_mask=None, fallback=None):
-                out = np.asarray(values, dtype=float).copy()
-                out[np.isnan(out)] = np.nanmean(out)
-                return out
-
-        register_interpolator("mean-test", lambda **kw: Mean())
+        register_interpolator("mean-test", lambda **kw: _Mean())
         try:
             assert "mean-test" in available_interpolators()
             cfg = SkyRANConfig(interpolator="mean-test")
@@ -260,6 +266,28 @@ class TestInterpolatorRegistry:
             from repro.rem.interpolate import _REGISTRY
 
             _REGISTRY.pop("mean-test", None)
+
+    def test_controller_epoch_with_interpolate_only_scheme(self, chaos_scenario):
+        """A registered scheme with nothing but ``interpolate`` runs an epoch."""
+        register_interpolator("mean-test", lambda **kw: _Mean())
+        try:
+            cfg = SkyRANConfig(
+                rem_cell_size_m=16.0,
+                measurement_budget_m=250.0,
+                interpolator="mean-test",
+            )
+            ctrl = SkyRANController(
+                chaos_scenario.channel, chaos_scenario.enodeb, cfg, seed=7
+            )
+            result = ctrl.run_epoch()
+        finally:
+            from repro.rem.interpolate import _REGISTRY
+
+            _REGISTRY.pop("mean-test", None)
+        assert result.n_rem_groups == len(result.ue_estimates)
+        assert np.isfinite(result.placement.min_snr_db)
+        for snr_map in result.rem_maps.values():
+            assert np.all(np.isfinite(snr_map))
 
     def test_measured_mask_equivalent_to_nan(self):
         grid = Scenario.create("campus", n_ues=1, cell_size=8.0, seed=0).grid.coarsen(4)

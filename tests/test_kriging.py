@@ -88,40 +88,3 @@ class TestKriging:
             kriging_interpolate(grid, np.zeros(grid.shape), k_neighbors=0)
         with pytest.raises(ValueError):
             kriging_interpolate(grid, np.zeros((3, 3)))
-
-
-class TestKrigingRows:
-    """Row-band kriging must equal the sliced full interpolation."""
-
-    def _sparse(self, grid, rng, n=30):
-        values = np.full(grid.shape, np.nan)
-        idx = rng.choice(grid.num_cells, n, replace=False)
-        values.flat[idx] = rng.uniform(0, 10, n)
-        return values
-
-    @pytest.mark.parametrize("rows", [slice(0, 5), slice(5, 13), slice(17, 20)])
-    def test_rows_match_full(self, grid, rng, rows):
-        from repro.rem.kriging import kriging_interpolate_rows
-
-        values = self._sparse(grid, rng)
-        full = kriging_interpolate(grid, values)
-        band = kriging_interpolate_rows(grid, values, rows)
-        assert np.array_equal(band, full[rows])
-
-    def test_rows_with_fallback_and_no_measurements(self, grid):
-        from repro.rem.kriging import kriging_interpolate_rows
-
-        values = np.full(grid.shape, np.nan)
-        prior = np.arange(grid.num_cells, dtype=float).reshape(grid.shape)
-        rows = slice(3, 9)
-        band = kriging_interpolate_rows(grid, values, rows, fallback=prior)
-        assert np.array_equal(band, prior[rows])
-
-    def test_rows_via_interpolator_tile_protocol(self, grid, rng):
-        from repro.rem.interpolate import KrigingInterpolator
-
-        values = self._sparse(grid, rng, n=20)
-        interp = KrigingInterpolator()
-        rows = slice(4, 16)
-        band = interp.interpolate_tile(grid, values, rows)
-        assert np.array_equal(band, interp.interpolate(grid, values)[rows])

@@ -92,3 +92,35 @@ def test_module_singleton_exists_and_works():
     before = perf.counter("test_perf.selfcheck")
     perf.count("test_perf.selfcheck")
     assert perf.counter("test_perf.selfcheck") == before + 1
+
+
+def test_product_code_never_starts_tracemalloc(monkeypatch):
+    """Memory tracing belongs to the benches that gate on it.
+
+    A tracked span inside product code resets the tracemalloc peak of
+    any span a caller wraps around it, and slows the whole call down.
+    """
+    import tracemalloc
+
+    from repro.city import CityScenario
+    from repro.core.config import SkyRANConfig
+    from repro.sim.runner import run_simulation
+    from repro.sim.scenario import Scenario
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("product code touched tracemalloc")
+
+    monkeypatch.setattr(tracemalloc, "start", refuse)
+    monkeypatch.setattr(tracemalloc, "reset_peak", refuse)
+    city = CityScenario.create(
+        terrain_name="campus", cell_size_m=8.0, n_ues=12, seed=1, eval_cell_m=32.0
+    )
+    city.run_controller_epoch(budget_m=80.0, n_tti=5, loc_sample=2)
+    run_simulation(
+        Scenario.create("campus", n_ues=2, cell_size=8.0, seed=3),
+        SkyRANConfig(rem_cell_size_m=16.0),
+        scheme="skyran",
+        n_epochs=1,
+        budget_per_epoch_m=120.0,
+        seed=7,
+    )

@@ -1,12 +1,9 @@
-"""Streamed controller epochs vs the materialized path.
+"""Controller epochs under REM-key dedup.
 
-The streamed pipeline's contract mirrors the repo-wide
-two-implementations discipline: with a key pitch fine enough that
-every REM-key dedup group is a singleton, a streamed epoch must be
-*bit*-identical to a materialized one — same RNG draw schedule, same
-plan, same placement, same maps.  Collapse (a coarse pitch) is the
-perf mode: work saturates at the number of occupied key cells and
-group members share one map object.
+By default every UE gets its own REM group (the paper's per-UE REMs).
+A key pitch collapses UEs whose estimates share a key cell into one
+group: work saturates at the number of occupied key cells and group
+members share one map object.
 """
 
 from __future__ import annotations
@@ -23,7 +20,7 @@ from repro.rem.map import REM
 from repro.sim.scenario import Scenario
 
 
-def _controller(monkeypatch=None, *, pitch=0.25, seed=1, n_ues=4, known=None):
+def _controller(*, pitch=0.25, seed=1, n_ues=4, known=None):
     scenario = Scenario.create("campus", n_ues=n_ues, cell_size=4.0, seed=5)
     cfg = SkyRANConfig(rem_cell_size_m=8.0, rem_key_pitch_m=pitch)
     ctrl = SkyRANController(
@@ -36,103 +33,28 @@ def _controller(monkeypatch=None, *, pitch=0.25, seed=1, n_ues=4, known=None):
     return scenario, ctrl
 
 
-class TestPathSelection:
-    def test_env_forces_streamed(self, monkeypatch):
-        _, ctrl = _controller()
-        monkeypatch.setenv("REPRO_STREAM_EPOCH", "1")
-        assert ctrl._stream_epoch(1) is True
-
-    def test_env_forces_materialized(self, monkeypatch):
-        _, ctrl = _controller()
-        monkeypatch.setenv("REPRO_STREAM_EPOCH", "0")
-        assert ctrl._stream_epoch(10**6) is False
-
-    def test_threshold_selects(self, monkeypatch):
-        monkeypatch.delenv("REPRO_STREAM_EPOCH", raising=False)
-        _, ctrl = _controller()
-        thresh = ctrl.config.stream_epoch_threshold
-        assert ctrl._stream_epoch(thresh - 1) is False
-        assert ctrl._stream_epoch(thresh) is True
-
-    def test_default_small_scenario_is_materialized(self, monkeypatch):
-        """Paper-scale populations stay on the legacy byte-identical path."""
-        monkeypatch.delenv("REPRO_STREAM_EPOCH", raising=False)
-        _, ctrl = _controller()
+class TestDefaultGrouping:
+    def test_one_group_per_ue(self):
+        """No key pitch (the default): the paper's per-UE REMs."""
+        scenario = Scenario.create("campus", n_ues=4, cell_size=4.0, seed=5)
+        ctrl = SkyRANController(
+            scenario.channel,
+            scenario.enodeb,
+            SkyRANConfig(rem_cell_size_m=8.0),
+            seed=1,
+        )
+        assert ctrl.config.rem_key_pitch_m is None
         result = ctrl.run_epoch(budget_m=300.0)
-        assert result.streamed is False
-        assert result.n_rem_groups is None
-
-
-class TestStreamedBitIdentity:
-    """Singleton groups: the streamed epoch IS the materialized epoch."""
-
-    @pytest.fixture(scope="class")
-    def pair(self):
-        import os
-
-        results = {}
-        for mode in ("0", "1"):
-            os.environ["REPRO_STREAM_EPOCH"] = mode
-            try:
-                # A 0.25 m key pitch makes every estimate its own group.
-                _, ctrl = _controller(pitch=0.25, seed=1)
-                results[mode] = (ctrl, ctrl.run_epoch(budget_m=300.0))
-            finally:
-                os.environ.pop("REPRO_STREAM_EPOCH", None)
-        return results["0"][1], results["1"][1]
-
-    def test_modes_took_intended_paths(self, pair):
-        mat, streamed = pair
-        assert mat.streamed is False
-        assert streamed.streamed is True
-        assert streamed.n_rem_groups == len(streamed.ue_estimates)
-
-    def test_estimates_identical(self, pair):
-        mat, streamed = pair
-        assert set(mat.ue_estimates) == set(streamed.ue_estimates)
-        for ue_id in mat.ue_estimates:
-            assert np.array_equal(
-                mat.ue_estimates[ue_id], streamed.ue_estimates[ue_id]
-            )
-        assert mat.localization_errors_m == streamed.localization_errors_m
-
-    def test_altitude_and_flight_identical(self, pair):
-        mat, streamed = pair
-        assert mat.altitude_m == streamed.altitude_m
-        assert mat.flight_distance_m == streamed.flight_distance_m
-        assert mat.flight_time_s == streamed.flight_time_s
-
-    def test_plan_identical(self, pair):
-        mat, streamed = pair
-        assert np.array_equal(
-            mat.plan.trajectory.waypoints, streamed.plan.trajectory.waypoints
-        )
-
-    def test_placement_identical(self, pair):
-        mat, streamed = pair
-        assert mat.placement.cell == streamed.placement.cell
-        assert mat.placement.min_snr_db == streamed.placement.min_snr_db
-        assert np.array_equal(
-            mat.placement.position.as_array(),
-            streamed.placement.position.as_array(),
-        )
-
-    def test_rem_maps_identical(self, pair):
-        mat, streamed = pair
-        assert set(mat.rem_maps) == set(streamed.rem_maps)
-        for ue_id in mat.rem_maps:
-            assert np.array_equal(
-                mat.rem_maps[ue_id], streamed.rem_maps[ue_id], equal_nan=True
-            )
+        assert result.n_rem_groups == len(result.ue_estimates)
+        maps = list(result.rem_maps.values())
+        assert len({id(m) for m in maps}) == len(maps)
 
 
 class TestCollapse:
-    def test_coarse_pitch_collapses_to_one_group(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STREAM_EPOCH", "1")
+    def test_coarse_pitch_collapses_to_one_group(self):
         # Pitch wider than the campus: every UE lands in one key cell.
         _, ctrl = _controller(pitch=10_000.0, seed=1)
         result = ctrl.run_epoch(budget_m=300.0)
-        assert result.streamed is True
         assert result.n_rem_groups == 1
         maps = list(result.rem_maps.values())
         assert len(maps) == len(result.ue_estimates)
@@ -140,8 +62,7 @@ class TestCollapse:
         assert all(m is maps[0] for m in maps)
         assert np.isfinite(result.placement.min_snr_db)
 
-    def test_group_count_tracks_pitch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STREAM_EPOCH", "1")
+    def test_group_count_tracks_pitch(self):
         _, fine = _controller(pitch=0.25, seed=1)
         fine_result = fine.run_epoch(budget_m=300.0)
         _, coarse = _controller(pitch=10_000.0, seed=1)
@@ -300,28 +221,3 @@ class TestREMStoreBucketedLookup:
         store = REMStore(grid, reuse_radius_m=5.0)
         store.commit(REM(grid, np.array([0.0, 0.0, 1.5]), 60.0))
         assert store.lookup(np.array([50.0, 50.0, 1.5])) is None
-
-
-class TestInterpolatedTile:
-    def test_band_matches_sliced_full_map(self):
-        grid = GridSpec.from_extent(40.0, 40.0, cell_size=2.0)
-        rem = REM(grid, np.array([10.0, 10.0, 1.5]), 60.0,
-                  prior=np.full(grid.shape, -4.0))
-        rng = np.random.default_rng(2)
-        rem.add_measurements(
-            rng.uniform(0.0, 40.0, (25, 2)), rng.normal(5.0, 4.0, 25)
-        )
-        full = rem.interpolated()
-        for rows in (slice(0, 7), slice(7, 20), slice(13, 17)):
-            assert np.array_equal(rem.interpolated_tile(rows), full[rows])
-
-    def test_band_resolves_registry_params(self):
-        grid = GridSpec.from_extent(40.0, 40.0, cell_size=2.0)
-        rem = REM(grid, np.array([10.0, 10.0, 1.5]), 60.0)
-        rng = np.random.default_rng(4)
-        rem.add_measurements(
-            rng.uniform(0.0, 40.0, (25, 2)), rng.normal(5.0, 4.0, 25)
-        )
-        full = rem.interpolated(method="kriging", k_neighbors=8)
-        band = rem.interpolated_tile(slice(3, 12), method="kriging", k_neighbors=8)
-        assert np.array_equal(band, full[slice(3, 12)])

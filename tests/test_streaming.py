@@ -5,8 +5,8 @@ tile must carry exactly the values of the corresponding slab of the
 materialized ``(n_ue, ny, nx)`` stack, for every tiling — including
 row counts that do not divide the grid height and UE chunks that do
 not divide the population.  The folds (min, counts, placement) must
-then commute with the tiling, and the IDW row-band interpolation must
-equal the sliced full interpolation.
+then commute with the tiling, and the REM-by-REM discounted placement
+fold must equal discounting and reducing the materialized stack.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from repro.channel.groundtruth import ground_truth_stack, iter_ground_truth_tile
 from repro.core.placement import max_min_placement, uncertainty_penalty_db
 from repro.geo.grid import GridSpec
 from repro.rem.aggregate import aggregate_rem, min_snr_map
-from repro.rem.idw import idw_interpolate, idw_interpolate_rows
 from repro.rem.interpolate import (
     IDWInterpolator,
     available_interpolators,
@@ -28,8 +27,6 @@ from repro.rem.interpolate import (
 )
 from repro.rem.map import REM
 from repro.rem.streaming import (
-    interpolate_tile,
-    row_bands,
     streamed_aggregate_rem,
     streamed_coverage_counts,
     streamed_discounted_max_min_placement,
@@ -170,59 +167,6 @@ def test_streamed_min_map_nan_poisons_cell():
     assert out[1, 2] == 1.0
 
 
-# -- row-band interpolation -----------------------------------------------------
-
-
-def _sparse_map(grid: GridSpec, seed: int = 3) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    values = np.full(grid.shape, np.nan)
-    ny, nx = grid.shape
-    n_meas = (ny * nx) // 5
-    iy = rng.integers(0, ny, n_meas)
-    ix = rng.integers(0, nx, n_meas)
-    values[iy, ix] = rng.normal(10.0, 4.0, n_meas)
-    return values
-
-
-@pytest.mark.parametrize("rows", [slice(0, 7), slice(7, 20), slice(40, 50)])
-def test_idw_rows_match_full_interpolation(small_grid, rows):
-    values = _sparse_map(small_grid)
-    full = idw_interpolate(small_grid, values)
-    band = idw_interpolate_rows(small_grid, values, rows)
-    assert np.array_equal(band, full[rows])
-
-
-def test_idw_rows_with_max_distance_and_fallback(small_grid):
-    values = _sparse_map(small_grid, seed=9)
-    fallback = np.full(small_grid.shape, -3.25)
-    kw = dict(max_distance_m=6.0, fallback=fallback)
-    full = idw_interpolate(small_grid, values, **kw)
-    rows = slice(3, 31)
-    band = idw_interpolate_rows(small_grid, values, rows, **kw)
-    assert np.array_equal(band, full[rows])
-
-
-def test_interpolate_tile_uses_idw_fast_path(small_grid):
-    values = _sparse_map(small_grid, seed=5)
-    interp = IDWInterpolator()
-    rows = slice(11, 29)
-    band = interpolate_tile(interp, small_grid, values, rows)
-    assert np.array_equal(band, interp.interpolate(small_grid, values)[rows])
-
-
-def test_interpolate_tile_generic_fallback(small_grid):
-    """Interpolators without a tile method get the slice-of-full path."""
-
-    class Nearest:
-        def interpolate(self, grid, values, measured_mask=None, fallback=None):
-            return np.nan_to_num(values, nan=-1.0)
-
-    values = _sparse_map(small_grid, seed=11)
-    rows = slice(2, 9)
-    band = interpolate_tile(Nearest(), small_grid, values, rows)
-    assert np.array_equal(band, np.nan_to_num(values, nan=-1.0)[rows])
-
-
 # -- streamed uncertainty-discounted fold vs the materialized path --------------
 
 #: A 10x10 grid keeps every registry interpolator (kriging included)
@@ -248,19 +192,8 @@ def _rem_sets(draw):
     return rems
 
 
-@st.composite
-def _ragged_bands(draw):
-    """Row slices cutting the grid height at arbitrary interior points."""
-    ny = _FOLD_GRID.ny
-    cuts = draw(
-        st.lists(st.integers(min_value=1, max_value=ny - 1), max_size=4, unique=True)
-    )
-    edges = [0] + sorted(cuts) + [ny]
-    return [slice(a, b) for a, b in zip(edges, edges[1:])]
-
-
 def _materialized_discounted(rems, interp, rate, cap):
-    """The controller's materialized Step 8: interpolate, discount, min."""
+    """Reference Step 8: interpolate each REM, discount, min over the stack."""
     maps, discounted = [], []
     for rem in rems:
         full = interp.interpolate(
@@ -275,13 +208,12 @@ def _materialized_discounted(rems, interp, rate, cap):
 class TestStreamedDiscountedFold:
     @given(
         _rem_sets(),
-        _ragged_bands(),
         st.sampled_from(available_interpolators()),
         st.sampled_from([0.0, 0.4]),
         st.sampled_from([float("inf"), 3.0]),
     )
     @settings(max_examples=25, deadline=None)
-    def test_min_map_matches_materialized_bitwise(self, rems, bands, name, rate, cap):
+    def test_min_map_matches_materialized_bitwise(self, rems, name, rate, cap):
         interp = make_interpolator(name)
         mm, maps = streamed_discounted_min_map(
             _FOLD_GRID,
@@ -289,8 +221,6 @@ class TestStreamedDiscountedFold:
             interp,
             penalty_rate_db_per_m=rate,
             penalty_cap_db=cap,
-            row_slices=bands,
-            collect_maps=True,
         )
         ref_mm, ref_maps, _ = _materialized_discounted(rems, interp, rate, cap)
         assert np.array_equal(mm, ref_mm, equal_nan=True)
@@ -300,11 +230,10 @@ class TestStreamedDiscountedFold:
 
     @given(
         _rem_sets(),
-        _ragged_bands(),
         st.sampled_from(available_interpolators()),
     )
     @settings(max_examples=15, deadline=None)
-    def test_placement_matches_materialized(self, rems, bands, name):
+    def test_placement_matches_materialized(self, rems, name):
         interp = make_interpolator(name)
         placed, _ = streamed_discounted_max_min_placement(
             _FOLD_GRID,
@@ -313,7 +242,6 @@ class TestStreamedDiscountedFold:
             _FOLD_ALT,
             penalty_rate_db_per_m=0.4,
             penalty_cap_db=3.0,
-            row_slices=bands,
         )
         _, _, discounted = _materialized_discounted(rems, interp, 0.4, 3.0)
         reference = max_min_placement(_FOLD_GRID, discounted, _FOLD_ALT)
@@ -331,7 +259,6 @@ class TestStreamedDiscountedFold:
             [rem],
             IDWInterpolator(),
             penalty_rate_db_per_m=0.5,
-            collect_maps=True,
         )
         # Nothing measured: no discount, map is exactly the prior.
         assert np.array_equal(mm, prior)
@@ -340,14 +267,3 @@ class TestStreamedDiscountedFold:
     def test_rejects_empty_rem_sequence(self):
         with pytest.raises(ValueError, match="at least one REM"):
             streamed_discounted_min_map(_FOLD_GRID, [], IDWInterpolator())
-
-    @pytest.mark.parametrize("tile_rows,n_bands", [(1, 10), (3, 4), (10, 1), (64, 1)])
-    def test_row_bands_cover_exactly(self, tile_rows, n_bands):
-        bands = row_bands(_FOLD_GRID.ny, tile_rows)
-        assert len(bands) == n_bands
-        covered = [r for sl in bands for r in range(sl.start, sl.stop)]
-        assert covered == list(range(_FOLD_GRID.ny))
-
-    def test_row_bands_validation(self):
-        with pytest.raises(ValueError, match="tile_rows"):
-            row_bands(10, 0)
