@@ -17,13 +17,15 @@ import numpy as np
 
 from repro.channel.model import ChannelModel
 from repro.core.config import SkyRANConfig
-from repro.core.placement import PlacementResult, max_min_placement
+from repro.core.placement import PlacementResult
 from repro.faults.injector import FaultInjector, as_injector
 from repro.flight.sampler import collect_snr_samples
 from repro.flight.uav import UAV
 from repro.geo.grid import GridSpec
 from repro.lte.enodeb import ENodeB
+from repro.rem.interpolate import make_interpolator
 from repro.rem.map import REM
+from repro.rem.streaming import streamed_discounted_max_min_placement
 from repro.trajectory.uniform import zigzag_trajectory
 
 
@@ -82,24 +84,13 @@ class UniformController:
             self.altitude = 60.0
         self.faults = as_injector(self.faults)
         self.rng = np.random.default_rng(self.seed)
+        self.interpolator = make_interpolator(
+            self.config.interpolator,
+            power=self.config.idw_power,
+            k_neighbors=self.config.idw_neighbors,
+        )
         self._rems: Dict[int, REM] = {}
         self._epoch = 0
-
-    def _uncertainty_discounted(self, snr_map: np.ndarray, rem: REM) -> np.ndarray:
-        """Distance-to-measurement discount (see SkyRANConfig docs)."""
-        rate = self.config.uncertainty_penalty_db_per_m
-        if rate <= 0:
-            return snr_map
-        mask = rem.measured_mask.ravel()
-        if not mask.any():
-            return snr_map
-        from scipy.spatial import cKDTree
-
-        centers = self.rem_grid.centers_flat()
-        tree = cKDTree(centers[mask])
-        d, _ = tree.query(centers)
-        penalty = np.minimum(rate * d, self.config.uncertainty_penalty_cap_db)
-        return snr_map - penalty.reshape(self.rem_grid.shape)
 
     def run_epoch(self, budget_m: Optional[float] = None) -> UniformEpochResult:
         """One sweep-and-place cycle.
@@ -134,21 +125,18 @@ class UniformController:
             if len(snr):
                 rem.add_measurements(xy, snr)
 
-        maps = {
-            ue_id: rem.interpolated(
-                self.config.idw_power,
-                self.config.idw_neighbors,
-                method=self.config.interpolator,
-            )
-            for ue_id, rem in sorted(self._rems.items())
-        }
-        # Same uncertainty discount as SkyRAN's placement (fairness:
+        # Same uncertainty-discounted placement as SkyRAN's (fairness:
         # both schemes suffer the same argmax-selects-optimism bias).
-        placement_maps = [
-            self._uncertainty_discounted(maps[ue_id], self._rems[ue_id])
-            for ue_id in sorted(maps)
-        ]
-        placement = max_min_placement(self.rem_grid, placement_maps, self.altitude)
+        ue_ids = sorted(self._rems)
+        placement, final = streamed_discounted_max_min_placement(
+            self.rem_grid,
+            [self._rems[ue_id] for ue_id in ue_ids],
+            self.interpolator,
+            self.altitude,
+            penalty_rate_db_per_m=self.config.uncertainty_penalty_db_per_m,
+            penalty_cap_db=self.config.uncertainty_penalty_cap_db,
+        )
+        maps = dict(zip(ue_ids, final))
         move_log = self.uav.goto(placement.position.as_array(), self.rng, faults=self.faults)
         distance += move_log.distance_m
         return UniformEpochResult(

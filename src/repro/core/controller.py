@@ -601,35 +601,11 @@ class SkyRANController:
         final_maps = {
             ue_id: by_rep[rep_of[ue_id]] for ue_id in sorted(estimates)
         }
-        return self._finish_epoch(
-            estimates,
-            errors,
-            plan,
-            placement,
-            final_maps,
-            total_distance,
-            t_start,
-            n_rem_groups=len(groups),
-        )
 
-    def _finish_epoch(
-        self,
-        estimates: Dict[int, np.ndarray],
-        errors: Dict[int, float],
-        plan: Optional[PlanResult],
-        placement: PlacementResult,
-        final_maps: Dict[int, np.ndarray],
-        total_distance: float,
-        t_start: float,
-        n_rem_groups: int,
-    ) -> EpochResult:
-        """Epoch tail: reposition, arm the trigger, record.
-
-        Under a traffic-aware config a fresh MAC simulation is built
-        for this epoch's UE set (queue backlogs and generator streams
-        do not survive a re-plan; per-UE streams restart
-        deterministically from (seed, ue_id)).
-        """
+        # Reposition and arm the trigger.  Under a traffic-aware config
+        # a fresh MAC simulation is built for this epoch's UE set (queue
+        # backlogs and generator streams do not survive a re-plan;
+        # per-UE streams restart deterministically from (seed, ue_id)).
         move_log = self.uav.goto(placement.position.as_array(), self.rng, faults=self.faults)
         total_distance += move_log.distance_m
 
@@ -655,7 +631,7 @@ class SkyRANController:
             rem_maps=final_maps,
             flight_distance_m=total_distance,
             flight_time_s=self.uav.clock_s - t_start,
-            n_rem_groups=n_rem_groups,
+            n_rem_groups=len(groups),
         )
         self.epoch_index += 1
         return result

@@ -51,12 +51,16 @@ def max_min_placement(
     """
     if len(rem_maps) == 0:
         raise ValueError("need at least one REM map")
-    mm = min_snr_map(rem_maps)
-    iy, ix = argmax_cell(mm)
+    return _place_at_argmax(grid, min_snr_map(rem_maps), altitude)
+
+
+def _place_at_argmax(grid: GridSpec, min_map: np.ndarray, altitude: float) -> PlacementResult:
+    """Place at the argmax of a min-SNR map (first max in row-major order)."""
+    iy, ix = argmax_cell(min_map)
     x, y = grid.center_of(ix, iy)
     return PlacementResult(
-        position=Point3D(x, y, altitude),
-        min_snr_db=float(mm[iy, ix]),
+        position=Point3D(x, y, float(altitude)),
+        min_snr_db=float(min_map[iy, ix]),
         cell=(iy, ix),
     )
 

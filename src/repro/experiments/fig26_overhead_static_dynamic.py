@@ -13,10 +13,10 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.experiments.common import UAV_SPEED_MPS, skyran_for, uniform_for
+from repro.experiments.common import UAV_SPEED_MPS, config_for
 from repro.experiments.placement_common import fresh_scenario
 from repro.experiments.registry import register
-from repro.sim.runner import overhead_to_target, run_epochs
+from repro.sim.runner import overhead_to_target, run_simulation
 
 ALTITUDE_M = 60.0
 EPOCH_BUDGET_M = 300.0
@@ -30,19 +30,16 @@ PAPER = "SkyRAN ~100 s static / ~6 min dynamic, about half of Uniform"
 
 def _time_to_target(terrain, scheme, move_fraction, seed, quick) -> float:
     scenario = fresh_scenario(terrain, 6, "uniform", seed, quick)
-    if scheme == "skyran":
-        ctrl = skyran_for(scenario, seed=seed, quick=quick)
-        ctrl.altitude = ALTITUDE_M
-    else:
-        ctrl = uniform_for(scenario, altitude=ALTITUDE_M, seed=seed, quick=quick)
-    records = run_epochs(
+    records = run_simulation(
         scenario,
-        ctrl,
-        MAX_EPOCHS,
+        config_for(quick),
+        scheme=scheme,
+        n_epochs=MAX_EPOCHS,
         budget_per_epoch_m=EPOCH_BUDGET_M,
         move_fraction=move_fraction,
         seed=seed,
-    )
+        altitude=ALTITUDE_M,
+    ).records
     # Overhead on the paper's axis: measurement-flight time at cruise
     # speed (distance / 30 km/h), so SkyRAN's deliberately slow
     # localization hops don't distort the wall clock.

@@ -11,10 +11,10 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.experiments.common import UAV_SPEED_MPS, skyran_for, uniform_for
+from repro.experiments.common import UAV_SPEED_MPS, config_for
 from repro.experiments.placement_common import fresh_scenario
 from repro.experiments.registry import register
-from repro.sim.runner import overhead_to_target, run_epochs
+from repro.sim.runner import overhead_to_target, run_simulation
 
 ALTITUDE_M = 60.0
 MAX_EPOCHS = 8
@@ -28,19 +28,16 @@ PAPER = "overhead grows with terrain scale; SkyRAN below Uniform in NYC/LARGE"
 
 def _time_to_target(terrain, scheme, seed, quick) -> float:
     scenario = fresh_scenario(terrain, 6, "uniform", seed, quick)
-    if scheme == "skyran":
-        ctrl = skyran_for(scenario, seed=seed, quick=quick)
-        ctrl.altitude = ALTITUDE_M
-    else:
-        ctrl = uniform_for(scenario, altitude=ALTITUDE_M, seed=seed, quick=quick)
-    records = run_epochs(
+    records = run_simulation(
         scenario,
-        ctrl,
-        MAX_EPOCHS,
+        config_for(quick),
+        scheme=scheme,
+        n_epochs=MAX_EPOCHS,
         budget_per_epoch_m=EPOCH_BUDGETS[terrain],
         move_fraction=0.0,
         seed=seed,
-    )
+        altitude=ALTITUDE_M,
+    ).records
     # Measurement-flight time at cruise speed (see fig26 notes).
     d = overhead_to_target(records, target_relative=TARGET, value="distance")
     if d is None:

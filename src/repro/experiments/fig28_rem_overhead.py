@@ -12,10 +12,10 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.experiments.common import UAV_SPEED_MPS, skyran_for, uniform_for
+from repro.experiments.common import UAV_SPEED_MPS, config_for
 from repro.experiments.placement_common import fresh_scenario
 from repro.experiments.registry import register
-from repro.sim.runner import overhead_to_target, run_epochs
+from repro.sim.runner import overhead_to_target, run_simulation
 
 ALTITUDE_M = 60.0
 EPOCH_BUDGET_M = 300.0
@@ -29,19 +29,16 @@ PAPER = "SkyRAN reaches 5 dB REMs in about half Uniform's flight time"
 
 def _time_to_rem_target(scheme, move_fraction, seed, quick) -> float:
     scenario = fresh_scenario("nyc", 6, "uniform", seed, quick)
-    if scheme == "skyran":
-        ctrl = skyran_for(scenario, seed=seed, quick=quick)
-        ctrl.altitude = ALTITUDE_M
-    else:
-        ctrl = uniform_for(scenario, altitude=ALTITUDE_M, seed=seed, quick=quick)
-    records = run_epochs(
+    records = run_simulation(
         scenario,
-        ctrl,
-        MAX_EPOCHS,
+        config_for(quick),
+        scheme=scheme,
+        n_epochs=MAX_EPOCHS,
         budget_per_epoch_m=EPOCH_BUDGET_M,
         move_fraction=move_fraction,
         seed=seed,
-    )
+        altitude=ALTITUDE_M,
+    ).records
     # Measurement-flight time at cruise speed (see fig26 notes).
     d = overhead_to_target(
         records, metric="rem", target_rem_db=TARGET_DB, value="distance"

@@ -13,10 +13,10 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.experiments.common import skyran_for, uniform_for
+from repro.experiments.common import config_for
 from repro.experiments.placement_common import fresh_scenario
 from repro.experiments.registry import register
-from repro.sim.runner import run_epochs
+from repro.sim.runner import run_simulation
 
 ALTITUDE_M = 60.0
 TOTAL_BUDGET_M = 5000.0
@@ -30,20 +30,17 @@ PAPER = "parity on RURAL; SkyRAN ~1.4x Uniform throughput on NYC/LARGE at 5000 m
 def run_scheme_terrain(terrain, scheme, seed, quick) -> Dict:
     """Run one scheme on one terrain under the total budget."""
     scenario = fresh_scenario(terrain, 6, "uniform", seed, quick)
-    if scheme == "skyran":
-        ctrl = skyran_for(scenario, seed=seed, quick=quick)
-        ctrl.altitude = ALTITUDE_M
-    else:
-        ctrl = uniform_for(scenario, altitude=ALTITUDE_M, seed=seed, quick=quick)
     per_epoch = TOTAL_BUDGET_M / N_EPOCHS
-    records = run_epochs(
+    records = run_simulation(
         scenario,
-        ctrl,
-        N_EPOCHS,
+        config_for(quick),
+        scheme=scheme,
+        n_epochs=N_EPOCHS,
         budget_per_epoch_m=per_epoch,
         move_fraction=0.5,
         seed=seed,
-    )
+        altitude=ALTITUDE_M,
+    ).records
     # Score the steady state: mean over the post-first-epoch records.
     tail = records[1:] if len(records) > 1 else records
     return {

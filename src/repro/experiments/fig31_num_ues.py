@@ -12,10 +12,10 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.experiments.common import skyran_for, uniform_for
+from repro.experiments.common import config_for
 from repro.experiments.placement_common import fresh_scenario
 from repro.experiments.registry import register
-from repro.sim.runner import run_epochs
+from repro.sim.runner import run_simulation
 
 ALTITUDE_M = 60.0
 TOTAL_BUDGET_M = 5000.0
@@ -26,19 +26,16 @@ PAPER = "SkyRAN improves with UE count up to ~8 and stays above Uniform"
 
 def _run_one(n_ues: int, scheme: str, seed: int, quick: bool) -> float:
     scenario = fresh_scenario("nyc", n_ues, "uniform", seed, quick)
-    if scheme == "skyran":
-        ctrl = skyran_for(scenario, seed=seed, quick=quick)
-        ctrl.altitude = ALTITUDE_M
-    else:
-        ctrl = uniform_for(scenario, altitude=ALTITUDE_M, seed=seed, quick=quick)
-    records = run_epochs(
+    records = run_simulation(
         scenario,
-        ctrl,
-        N_EPOCHS,
+        config_for(quick),
+        scheme=scheme,
+        n_epochs=N_EPOCHS,
         budget_per_epoch_m=TOTAL_BUDGET_M / N_EPOCHS,
         move_fraction=0.5,
         seed=seed,
-    )
+        altitude=ALTITUDE_M,
+    ).records
     tail = records[1:] if len(records) > 1 else records
     return float(np.mean([r.relative_throughput for r in tail]))
 

@@ -97,13 +97,6 @@ class Dataset:
         }
 
 
-def _walkable(terrain):
-    def check(x: float, y: float) -> bool:
-        return terrain.height_at(x, y) < 2.0
-
-    return check
-
-
 def build_rem_residual(
     terrains: Sequence[str] = QUICK_TERRAINS,
     seeds: Sequence[int] = QUICK_SEEDS,
@@ -180,9 +173,7 @@ def kpi_trace(
     scenarios).
     """
     from repro.lte.throughput import throughput_mbps
-    from repro.mobility.models import relocate_fraction
 
-    terrain = scenario.terrain
     rng = np.random.default_rng(
         np.random.SeedSequence(seed, spawn_key=(LEARN_SPAWN_KEY, 2))
     )
@@ -195,19 +186,9 @@ def kpi_trace(
         )
         return float(np.mean(throughput_mbps(snrs)))
 
-    walkable = _walkable(terrain)
     trace = [kpi()]
     for _ in range(n_steps):
-        moved = relocate_fraction(
-            scenario.ues, move_fraction, terrain.grid, rng, walkable
-        )
-        for ue in scenario.ues:
-            if ue.ue_id in moved:
-                ue.move_to(
-                    ue.position.x,
-                    ue.position.y,
-                    terrain.height_at(ue.position.x, ue.position.y) + 1.5,
-                )
+        scenario.relocate_ues(move_fraction, rng)
         trace.append(kpi())
     ref = trace[0]
     if ref <= 0:

@@ -1,11 +1,11 @@
-"""Streaming folds over map tiles.
+"""Streaming folds over map tiles and REMs.
 
 City-scale populations make the ``(n_ue, ny, nx)`` stack the memory
-bottleneck of every map consumer, but the aggregations the system
-actually needs — the min-SNR surface behind max–min placement, coverage
-counts, the aggregate REM — are all folds: they can consume the tiles
-of :meth:`~repro.channel.model.ChannelModel.iter_snr_map_tiles` as they
-arrive and keep only O(grid) state.
+bottleneck of every map consumer, but the aggregation max–min placement
+needs — the cell-wise minimum SNR surface — is a fold: it can consume
+the tiles of :meth:`~repro.channel.model.ChannelModel.iter_snr_map_tiles`
+(or one REM's interpolated map at a time) as they arrive and keep only
+O(grid) state.
 
 Exactness
 ---------
@@ -13,14 +13,9 @@ Exactness
 Tiles carry a ``(ue_slice, row_slice, block)`` triple and each cell
 value is bit-identical to the materialized stack (the tile generator's
 contract), so the only question is whether the *fold* commutes with
-chunking:
-
-* ``min`` and integer counting are exact under any chunking — the
-  minimum of minima is the minimum, and both numpy's axis-0 reduce and
-  the chunked fold visit UEs in ascending index order;
-* float **sums** are exact only when each tile spans the full UE axis
-  (reassociating a float sum changes rounding), which is why
-  :func:`streamed_aggregate_rem` documents that caveat explicitly.
+chunking.  ``min`` is exact under any chunking: the minimum of minima
+is the minimum, and both numpy's axis-0 reduce and the chunked fold
+visit UEs in ascending index order.
 """
 
 from __future__ import annotations
@@ -29,10 +24,8 @@ from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.placement import PlacementResult, uncertainty_penalty_db
+from repro.core.placement import PlacementResult, _place_at_argmax, uncertainty_penalty_db
 from repro.geo.grid import GridSpec
-from repro.geo.points import Point3D
-from repro.rem.aggregate import argmax_cell
 
 #: A streamed map tile: which UEs, which grid rows, and the
 #: ``(n_ue_chunk, n_rows, nx)`` block of values.
@@ -57,43 +50,6 @@ def streamed_min_snr_map(tiles: Iterable[Tile], shape: Tuple[int, int]) -> np.nd
     return out
 
 
-def streamed_coverage_counts(
-    tiles: Iterable[Tile], shape: Tuple[int, int], threshold_db: float
-) -> np.ndarray:
-    """Per-cell count of UEs whose map meets ``threshold_db``.
-
-    Integer accumulation, exact under any tiling; equals
-    ``(stack >= threshold_db).sum(axis=0)`` on the materialized stack.
-    """
-    out = np.zeros(shape, dtype=np.int64)
-    for _ue_sl, row_sl, block in tiles:
-        out[row_sl] += (block >= threshold_db).sum(axis=0)
-    return out
-
-
-def streamed_aggregate_rem(tiles: Iterable[Tile], shape: Tuple[int, int]) -> np.ndarray:
-    """Cell-wise NaN-ignoring sum over streamed per-UE map tiles.
-
-    Matches :func:`repro.rem.aggregate.aggregate_rem` bit-for-bit when
-    each tile spans the **full UE axis** (``ue_chunk >= n_ue``); with a
-    smaller UE chunk the float sum is reassociated, so agreement is
-    only up to rounding — prefer full-UE tiles when exactness matters.
-    """
-    out = np.zeros(shape, dtype=float)
-    all_nan = np.ones(shape, dtype=bool)
-    seen = False
-    for _ue_sl, row_sl, block in tiles:
-        seen = True
-        nan = np.isnan(block)
-        all_nan[row_sl] &= nan.all(axis=0)
-        with np.errstate(invalid="ignore"):
-            out[row_sl] += np.nansum(block, axis=0)
-    if not seen:
-        raise ValueError("need at least one tile (empty UE population?)")
-    out[all_nan] = np.nan
-    return out
-
-
 def streamed_max_min_placement(
     grid: GridSpec,
     tiles: Iterable[Tile],
@@ -107,14 +63,7 @@ def streamed_max_min_placement(
     and its argmax — same first-max row-major tie-break — is the
     chosen cell.
     """
-    mm = streamed_min_snr_map(tiles, grid.shape)
-    iy, ix = argmax_cell(mm)
-    x, y = grid.center_of(ix, iy)
-    return PlacementResult(
-        position=Point3D(x, y, float(altitude)),
-        min_snr_db=float(mm[iy, ix]),
-        cell=(iy, ix),
-    )
+    return _place_at_argmax(grid, streamed_min_snr_map(tiles, grid.shape), altitude)
 
 
 def streamed_interference_max_min_placement(
@@ -143,14 +92,7 @@ def streamed_interference_max_min_placement(
         for ue_sl, row_sl, block in tiles:
             yield ue_sl, row_sl, block - penalty_db[ue_sl, None, None]
 
-    mm = streamed_min_snr_map(penalized(), grid.shape)
-    iy, ix = argmax_cell(mm)
-    x, y = grid.center_of(ix, iy)
-    return PlacementResult(
-        position=Point3D(x, y, float(altitude)),
-        min_snr_db=float(mm[iy, ix]),
-        cell=(iy, ix),
-    )
+    return _place_at_argmax(grid, streamed_min_snr_map(penalized(), grid.shape), altitude)
 
 
 def streamed_discounted_min_map(
@@ -215,11 +157,4 @@ def streamed_discounted_max_min_placement(
         penalty_rate_db_per_m=penalty_rate_db_per_m,
         penalty_cap_db=penalty_cap_db,
     )
-    iy, ix = argmax_cell(mm)
-    x, y = grid.center_of(ix, iy)
-    placement = PlacementResult(
-        position=Point3D(x, y, float(altitude)),
-        min_snr_db=float(mm[iy, ix]),
-        cell=(iy, ix),
-    )
-    return placement, maps
+    return _place_at_argmax(grid, mm, altitude), maps

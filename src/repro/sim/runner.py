@@ -1,9 +1,11 @@
 """Multi-epoch experiment runner.
 
-Drives a SkyRAN (or Uniform) controller through successive epochs with
-UE dynamics between them, accounting flight distance/time, relative
-throughput and REM accuracy per epoch — the engine behind the
-Section 5 scale-up figures (26-31).
+Drives any controller (SkyRAN, the baselines, a fleet) through
+successive epochs with UE dynamics between them, accounting flight
+distance/time, relative throughput and REM accuracy per epoch — the
+engine behind the Section 5 scale-up figures (26-31).  One epoch step
+serves both the fixed-count loop (:func:`run_epochs`) and the
+event-driven one (``scheme="events"``).
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.mobility.models import relocate_fraction
 from repro.perf import perf
 from repro.sim.metrics import median_rem_error
 from repro.sim.scenario import Scenario
@@ -143,9 +144,7 @@ class FleetEpochRecord:
     moved_ues: tuple
 
 
-def _evaluate_epoch(
-    scenario: Scenario, controller, result, rem_grid
-) -> tuple:
+def _evaluate_epoch(scenario: Scenario, result, rem_grid) -> tuple:
     """Relative/min throughput + REM error + altitude for one epoch result."""
     position = getattr(result, "placement", None)
     if position is not None:
@@ -171,6 +170,88 @@ def _evaluate_epoch(
     return rel, err, float(pos.z), min_tput
 
 
+def _cumulative(prev, distance_m: float, time_s: float) -> Dict[str, float]:
+    """Overhead so far: the previous record's totals plus this epoch's."""
+    d0, t0 = (0.0, 0.0) if prev is None else (prev.cumulative_distance_m, prev.cumulative_time_s)
+    return {"cumulative_distance_m": d0 + distance_m, "cumulative_time_s": t0 + time_s}
+
+
+def _epoch_record(scenario: Scenario, controller, result, prev, **fields) -> EpochRecord:
+    """Score a single-cell epoch result against the oracle and record it."""
+    with perf.span("runner.evaluate"):
+        rel, err, alt, min_tput = _evaluate_epoch(
+            scenario, result, getattr(controller, "rem_grid", scenario.eval_grid)
+        )
+    mac = getattr(controller, "last_mac_summary", None) or {}
+    fields.setdefault("rem_groups", getattr(result, "n_rem_groups", None))
+    return EpochRecord(
+        flight_distance_m=result.flight_distance_m,
+        flight_time_s=result.flight_time_s,
+        **_cumulative(prev, result.flight_distance_m, result.flight_time_s),
+        relative_throughput=rel,
+        rem_error_db=err,
+        altitude_m=alt,
+        min_throughput_mbps=min_tput,
+        offered_mbps=mac.get("offered_mbps"),
+        served_mbps=mac.get("served_mbps"),
+        backlog_bytes=mac.get("backlog_bytes"),
+        dropped_bytes=mac.get("dropped_bytes"),
+        **fields,
+    )
+
+
+def _fleet_record(scenario: Scenario, fleet, result, prev, **fields) -> FleetEpochRecord:
+    """Record a fleet epoch from its own true-SINR KPIs (no oracle pass)."""
+    del scenario
+    per_cell_agg = result.per_cell_aggregate_throughput_mbps
+    per_cell_min = result.per_cell_min_throughput_mbps
+    counts = result.ue_counts
+    cells = tuple(sorted(per_cell_agg))
+    return FleetEpochRecord(
+        n_uavs=fleet.n_uavs,
+        reuse_factor=result.reuse_factor,
+        flight_distance_m=result.total_flight_distance_m,
+        flight_time_s=result.total_flight_time_s,
+        **_cumulative(prev, result.total_flight_distance_m, result.total_flight_time_s),
+        aggregate_throughput_mbps=result.aggregate_throughput_mbps,
+        min_throughput_mbps=result.min_throughput_mbps,
+        cells=cells,
+        per_cell_aggregate_mbps=tuple(per_cell_agg[c] for c in cells),
+        per_cell_min_mbps=tuple(per_cell_min[c] for c in cells),
+        ue_counts=tuple(counts[c] for c in cells),
+        handovers=result.handovers,
+        attaches=result.attaches,
+        **fields,
+    )
+
+
+def _epoch_step(
+    scenario: Scenario,
+    controller,
+    budget_m: Optional[float],
+    records: list,
+    on_epoch: Optional[Callable],
+    **fields,
+) -> None:
+    """Run one controller epoch, append its record and report it.
+
+    The one epoch step every run loop shares.  ``fields`` are the
+    loop's own record fields (moved UEs, event-layer counters); a
+    :class:`~repro.core.fleet.FleetController` epoch becomes a
+    :class:`FleetEpochRecord`, any other an :class:`EpochRecord`.
+    """
+    from repro.core.fleet import FleetController
+
+    with perf.span("runner.epoch"):
+        result = controller.run_epoch(budget_m)
+    build = _fleet_record if isinstance(controller, FleetController) else _epoch_record
+    prev = records[-1] if records else None
+    record = build(scenario, controller, result, prev, epoch=len(records), **fields)
+    records.append(record)
+    if on_epoch is not None:
+        on_epoch(record)
+
+
 def run_epochs(
     scenario: Scenario,
     controller,
@@ -183,138 +264,24 @@ def run_epochs(
     """Run a controller for several epochs with optional UE dynamics.
 
     Before every epoch after the first, ``move_fraction`` of the UEs
-    teleport to fresh walkable positions (the Section 5.2 dynamics
-    model).  Works with SkyRAN and Uniform controllers (both expose
-    ``run_epoch(budget_m)``).
+    teleport to fresh walkable positions
+    (:meth:`~repro.sim.scenario.Scenario.relocate_ues`, the Section 5.2
+    dynamics model) under a mobility RNG seeded with ``seed``.  Drives
+    any controller exposing ``run_epoch(budget_m)``: SkyRAN, Uniform
+    and Centroid yield :class:`EpochRecord` rows; a
+    :class:`~repro.core.fleet.FleetController` yields
+    :class:`FleetEpochRecord` rows and, for a given seed, sees exactly
+    the UE motion a single-cell run sees.
     """
     rng = np.random.default_rng(seed)
-    records: List[EpochRecord] = []
-    cum_d = 0.0
-    cum_t = 0.0
-    terrain = scenario.terrain
-
-    def walkable(x: float, y: float) -> bool:
-        return terrain.height_at(x, y) < 2.0
-
-    rem_grid = getattr(controller, "rem_grid", scenario.eval_grid)
+    records: list = []
     for epoch in range(n_epochs):
         moved: tuple = ()
         if epoch > 0 and move_fraction > 0:
-            moved_ids = relocate_fraction(
-                scenario.ues, move_fraction, scenario.grid, rng, walkable
-            )
-            # Keep UE antenna heights on the local ground.
-            for ue in scenario.ues:
-                if ue.ue_id in moved_ids:
-                    ue.move_to(
-                        ue.position.x,
-                        ue.position.y,
-                        terrain.height_at(ue.position.x, ue.position.y) + 1.5,
-                    )
-            moved = tuple(moved_ids)
-        with perf.span("runner.epoch"):
-            if budget_per_epoch_m is not None:
-                result = controller.run_epoch(budget_per_epoch_m)
-            else:
-                result = controller.run_epoch()
-        with perf.span("runner.evaluate"):
-            rel, err, alt, min_tput = _evaluate_epoch(
-                scenario, controller, result, rem_grid
-            )
-        cum_d += result.flight_distance_m
-        cum_t += result.flight_time_s
-        mac = getattr(controller, "last_mac_summary", None)
-        record = EpochRecord(
-            epoch=epoch,
-            flight_distance_m=result.flight_distance_m,
-            flight_time_s=result.flight_time_s,
-            cumulative_distance_m=cum_d,
-            cumulative_time_s=cum_t,
-            relative_throughput=rel,
-            rem_error_db=err,
-            moved_ues=moved,
-            altitude_m=alt,
-            min_throughput_mbps=min_tput,
-            offered_mbps=None if mac is None else mac["offered_mbps"],
-            served_mbps=None if mac is None else mac["served_mbps"],
-            backlog_bytes=None if mac is None else mac["backlog_bytes"],
-            dropped_bytes=None if mac is None else mac["dropped_bytes"],
-            rem_groups=getattr(result, "n_rem_groups", None),
+            moved = scenario.relocate_ues(move_fraction, rng)
+        _epoch_step(
+            scenario, controller, budget_per_epoch_m, records, on_epoch, moved_ues=moved
         )
-        records.append(record)
-        if on_epoch is not None:
-            on_epoch(record)
-    return records
-
-
-def _run_fleet_epochs(
-    scenario: Scenario,
-    fleet,
-    n_epochs: int,
-    budget_per_uav_m: Optional[float] = None,
-    move_fraction: float = 0.0,
-    seed: int = 0,
-    on_epoch: Optional[Callable[[FleetEpochRecord], None]] = None,
-) -> List[FleetEpochRecord]:
-    """Drive a :class:`~repro.core.fleet.FleetController` through epochs.
-
-    Mirrors :func:`run_epochs` exactly on the dynamics side — same
-    seeded mobility RNG, same walkability rule, same re-heighting — so
-    fleet and single-UAV runs see identical UE motion for a given
-    seed.
-    """
-    rng = np.random.default_rng(seed)
-    records: List[FleetEpochRecord] = []
-    cum_d = 0.0
-    cum_t = 0.0
-    terrain = scenario.terrain
-
-    def walkable(x: float, y: float) -> bool:
-        return terrain.height_at(x, y) < 2.0
-
-    for epoch in range(n_epochs):
-        moved: tuple = ()
-        if epoch > 0 and move_fraction > 0:
-            moved_ids = relocate_fraction(
-                scenario.ues, move_fraction, scenario.grid, rng, walkable
-            )
-            for ue in scenario.ues:
-                if ue.ue_id in moved_ids:
-                    ue.move_to(
-                        ue.position.x,
-                        ue.position.y,
-                        terrain.height_at(ue.position.x, ue.position.y) + 1.5,
-                    )
-            moved = tuple(moved_ids)
-        with perf.span("runner.epoch"):
-            result = fleet.run_epoch(budget_per_uav_m)
-        per_cell_agg = result.per_cell_aggregate_throughput_mbps
-        per_cell_min = result.per_cell_min_throughput_mbps
-        counts = result.ue_counts
-        cells = tuple(sorted(per_cell_agg))
-        cum_d += result.total_flight_distance_m
-        cum_t += result.total_flight_time_s
-        record = FleetEpochRecord(
-            epoch=epoch,
-            n_uavs=fleet.n_uavs,
-            reuse_factor=result.reuse_factor,
-            flight_distance_m=result.total_flight_distance_m,
-            flight_time_s=result.total_flight_time_s,
-            cumulative_distance_m=cum_d,
-            cumulative_time_s=cum_t,
-            aggregate_throughput_mbps=result.aggregate_throughput_mbps,
-            min_throughput_mbps=result.min_throughput_mbps,
-            cells=cells,
-            per_cell_aggregate_mbps=tuple(per_cell_agg[c] for c in cells),
-            per_cell_min_mbps=tuple(per_cell_min[c] for c in cells),
-            ue_counts=tuple(counts[c] for c in cells),
-            handovers=result.handovers,
-            attaches=result.attaches,
-            moved_ues=moved,
-        )
-        records.append(record)
-        if on_epoch is not None:
-            on_epoch(record)
     return records
 
 
@@ -337,9 +304,10 @@ def _run_event_epochs(
     AttachSimulation` owns time.  UEs arrive, fight through the RACH
     and attach; every registration change rebuilds the controller's
     serving-time MAC state; every KPI heartbeat feeds the epoch
-    trigger, and a re-plan runs the moment the first UE attaches and
-    again whenever the trigger fires — up to ``n_epochs`` re-plans in
-    ``serve_time_s`` simulated seconds.
+    trigger, and a re-plan (the shared epoch step, recording the
+    control-plane counters since the previous one) runs the moment the
+    first UE attaches and again whenever the trigger fires — up to
+    ``n_epochs`` re-plans in ``serve_time_s`` simulated seconds.
 
     Returns ``(records, sim)`` so callers can inspect the final
     population census and counters.
@@ -352,51 +320,26 @@ def _run_event_epochs(
         scenario.enodeb.deregister_ue(ue.ue_id)
 
     records: List[EpochRecord] = []
-    cum = {"d": 0.0, "t": 0.0}
-    rem_grid = getattr(controller, "rem_grid", scenario.eval_grid)
     counter_mark: Dict[str, int] = {}
 
-    def run_one_epoch() -> None:
-        with perf.span("runner.epoch"):
-            if budget_per_epoch_m is not None:
-                result = controller.run_epoch(budget_per_epoch_m)
-            else:
-                result = controller.run_epoch()
-        with perf.span("runner.evaluate"):
-            rel, err, alt, min_tput = _evaluate_epoch(
-                scenario, controller, result, rem_grid
-            )
-        cum["d"] += result.flight_distance_m
-        cum["t"] += result.flight_time_s
-        mac = getattr(controller, "last_mac_summary", None)
-        delta = {
-            k: sim.counters[k] - counter_mark.get(k, 0) for k in sim.counters
-        }
+    def replan() -> None:
+        delta = {k: sim.counters[k] - counter_mark.get(k, 0) for k in sim.counters}
         counter_mark.update(sim.counters)
-        record = EpochRecord(
-            epoch=len(records),
-            flight_distance_m=result.flight_distance_m,
-            flight_time_s=result.flight_time_s,
-            cumulative_distance_m=cum["d"],
-            cumulative_time_s=cum["t"],
-            relative_throughput=rel,
-            rem_error_db=err,
+        _epoch_step(
+            scenario,
+            controller,
+            budget_per_epoch_m,
+            records,
+            on_epoch,
             moved_ues=(),
-            altitude_m=alt,
-            min_throughput_mbps=min_tput,
-            offered_mbps=None if mac is None else mac["offered_mbps"],
-            served_mbps=None if mac is None else mac["served_mbps"],
-            backlog_bytes=None if mac is None else mac["backlog_bytes"],
-            dropped_bytes=None if mac is None else mac["dropped_bytes"],
             attached_ues=len(scenario.enodeb.connected_ues()),
             attaches=delta["attaches"],
             detaches=delta["detaches"],
             rach_collisions=delta["rach_collisions"],
             barred=delta["barred"],
+            # Event-driven records have never carried the dedup count.
+            rem_groups=None,
         )
-        records.append(record)
-        if on_epoch is not None:
-            on_epoch(record)
 
     def on_population_change(t_s: float) -> None:
         del t_s
@@ -409,11 +352,11 @@ def _run_event_epochs(
             return
         if controller.epoch_index == 0:
             # First UEs are in: plan the initial deployment.
-            run_one_epoch()
+            replan()
             return
         if controller.needs_new_epoch(t_s):
             perf.count("events.trigger_replan")
-            run_one_epoch()
+            replan()
 
     sim = AttachSimulation(
         scenario.enodeb,
@@ -470,7 +413,7 @@ class RunResult:
     ----------
     scheme:
         Which controller ran
-        (``"skyran"``/``"uniform"``/``"centroid"``/``"fleet"``).
+        (``"skyran"``/``"uniform"``/``"centroid"``/``"fleet"``/``"events"``).
     records:
         One :class:`EpochRecord` per epoch, in order (empty for fleet
         runs, which fill ``fleet_records`` instead).
@@ -614,131 +557,85 @@ def run_simulation(
     from repro.baselines.uniform import UniformController
     from repro.core.config import SkyRANConfig
     from repro.core.controller import SkyRANController
+    from repro.core.fleet import FleetController
     from repro.faults.injector import as_injector
 
     cfg = config if config is not None else SkyRANConfig()
-    injector = as_injector(faults)
-    if scheme == "skyran":
-        controller = SkyRANController(
-            scenario.channel, scenario.enodeb, cfg, seed=seed, faults=injector
-        )
-        if altitude is not None:
-            controller.altitude = float(altitude)
-    elif scheme == "uniform":
-        controller = UniformController(
-            scenario.channel,
-            scenario.enodeb,
-            cfg,
-            altitude=float(altitude if altitude is not None else DEFAULT_FIXED_ALTITUDE_M),
-            seed=seed,
-            faults=injector,
-        )
-    elif scheme == "centroid":
-        controller = CentroidController(
-            scenario.channel,
-            scenario.enodeb,
-            cfg,
-            altitude=float(altitude if altitude is not None else DEFAULT_FIXED_ALTITUDE_M),
-            seed=seed,
-            faults=injector,
-        )
-    elif scheme == "events":
+    common = dict(seed=seed, faults=as_injector(faults))
+    cell = (scenario.channel, scenario.enodeb, cfg)
+    fixed = float(altitude if altitude is not None else DEFAULT_FIXED_ALTITUDE_M)
+    build = {
+        "skyran": lambda: SkyRANController(*cell, **common),
+        "events": lambda: SkyRANController(*cell, **common),
+        "uniform": lambda: UniformController(*cell, altitude=fixed, **common),
+        "centroid": lambda: CentroidController(*cell, altitude=fixed, **common),
+        "fleet": lambda: FleetController(
+            channel=scenario.channel,
+            ues=list(scenario.ues),
+            n_uavs=n_uavs,
+            config=cfg,
+            association=association,
+            reuse_factor=reuse_factor,
+            handover_hysteresis_db=handover_hysteresis_db,
+            **common,
+        ),
+    }
+    if scheme not in build:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    if scheme == "fleet":
+        # The fleet owns cell attachment: detach every UE from the
+        # scenario's (single-cell) eNodeB so association can hand them
+        # to per-cell eNodeBs.
+        for ue in list(scenario.enodeb.ues):
+            scenario.enodeb.deregister_ue(ue.ue_id)
+    controller = build[scheme]()
+    if altitude is not None:
+        cells = controller.controllers if scheme == "fleet" else [controller]
+        for ctrl in cells:
+            ctrl.altitude = float(altitude)
+
+    sim = None
+    before = perf.counters()
+    if scheme == "events":
         from repro.events.simulate import EventConfig
 
-        controller = SkyRANController(
-            scenario.channel, scenario.enodeb, cfg, seed=seed, faults=injector
-        )
-        if altitude is not None:
-            controller.altitude = float(altitude)
         if mobility is not None:
             scenario.enodeb.mobility = mobility
-        events_config = events if events is not None else EventConfig()
-        before = perf.counters()
         records, sim = _run_event_epochs(
             scenario,
             controller,
-            events_config,
+            events if events is not None else EventConfig(),
             serve_time_s=serve_time_s,
             n_epochs=n_epochs,
             budget_per_epoch_m=budget_per_epoch_m,
             arrival_params=arrival_params,
             seed=seed,
             on_epoch=on_epoch,
-            faults=injector,
+            faults=common["faults"],
         )
-        deltas = perf.counters_since(before)
-        return RunResult(
-            scheme=scheme,
-            records=tuple(records),
-            fault_counters={k: v for k, v in deltas.items() if k.startswith("faults.")},
-            fallback_counters={
-                k: v for k, v in deltas.items() if k.startswith("fallback.")
-            },
-            learn_counters={k: v for k, v in deltas.items() if k.startswith("learn.")},
-            event_counters=dict(sim.counters),
-            population=sim.population(),
-        )
-    elif scheme == "fleet":
-        from repro.core.fleet import FleetController
-
-        # The fleet owns cell attachment: detach every UE from the
-        # scenario's (single-cell) eNodeB so association can hand them
-        # to per-cell eNodeBs.
-        for ue in list(scenario.enodeb.ues):
-            scenario.enodeb.deregister_ue(ue.ue_id)
-        fleet = FleetController(
-            channel=scenario.channel,
-            ues=list(scenario.ues),
-            n_uavs=n_uavs,
-            config=cfg,
-            seed=seed,
-            association=association,
-            reuse_factor=reuse_factor,
-            handover_hysteresis_db=handover_hysteresis_db,
-            faults=injector,
-        )
-        if altitude is not None:
-            for ctrl in fleet.controllers:
-                ctrl.altitude = float(altitude)
-        before = perf.counters()
-        fleet_records = _run_fleet_epochs(
+    else:
+        records = run_epochs(
             scenario,
-            fleet,
+            controller,
             n_epochs,
-            budget_per_uav_m=budget_per_epoch_m,
+            budget_per_epoch_m=budget_per_epoch_m,
             move_fraction=move_fraction,
             seed=seed,
             on_epoch=on_epoch,
         )
-        deltas = perf.counters_since(before)
-        return RunResult(
-            scheme=scheme,
-            records=(),
-            fault_counters={k: v for k, v in deltas.items() if k.startswith("faults.")},
-            fallback_counters={
-                k: v for k, v in deltas.items() if k.startswith("fallback.")
-            },
-            learn_counters={k: v for k, v in deltas.items() if k.startswith("learn.")},
-            fleet_records=tuple(fleet_records),
-        )
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-
-    before = perf.counters()
-    records = run_epochs(
-        scenario,
-        controller,
-        n_epochs,
-        budget_per_epoch_m=budget_per_epoch_m,
-        move_fraction=move_fraction,
-        seed=seed,
-        on_epoch=on_epoch,
-    )
     deltas = perf.counters_since(before)
+    fault, fallback, learn = (
+        {k: v for k, v in deltas.items() if k.startswith(prefix)}
+        for prefix in ("faults.", "fallback.", "learn.")
+    )
+    fleet = scheme == "fleet"
     return RunResult(
         scheme=scheme,
-        records=tuple(records),
-        fault_counters={k: v for k, v in deltas.items() if k.startswith("faults.")},
-        fallback_counters={k: v for k, v in deltas.items() if k.startswith("fallback.")},
-        learn_counters={k: v for k, v in deltas.items() if k.startswith("learn.")},
+        records=() if fleet else tuple(records),
+        fault_counters=fault,
+        fallback_counters=fallback,
+        learn_counters=learn,
+        fleet_records=tuple(records) if fleet else (),
+        event_counters={} if sim is None else dict(sim.counters),
+        population={} if sim is None else sim.population(),
     )

@@ -21,8 +21,13 @@ from repro.geo.points import Point3D
 from repro.lte.enodeb import ENodeB
 from repro.lte.throughput import throughput_mbps
 from repro.lte.ue import UE, UE_ANTENNA_HEIGHT_M
+from repro.mobility.models import relocate_fraction
 from repro.terrain.generators import make_terrain
 from repro.terrain.heightmap import Terrain
+
+#: Surface height (m) below which a cell counts as walkable ground: UEs
+#: are dropped and relocated only there, never on rooftops.
+WALKABLE_CLEARANCE_M = 2.0
 
 
 @dataclass(frozen=True)
@@ -139,7 +144,7 @@ class Scenario:
         """Drop UEs on walkable (non-rooftop) cells."""
         if n_ues < 1:
             raise ValueError(f"need at least one UE, got {n_ues}")
-        iy, ix = terrain.free_cells(clearance=2.0)
+        iy, ix = terrain.free_cells(clearance=WALKABLE_CLEARANCE_M)
         if len(iy) == 0:
             raise ValueError("terrain has no walkable cells")
         grid = terrain.grid
@@ -210,6 +215,28 @@ class Scenario:
             picks = np.concatenate([picks_near, picks_far])
             return [tuple(free_xy[int(i)]) for i in picks]
         raise ValueError(f"unknown layout {layout!r}")
+
+    # -- dynamics -----------------------------------------------------------------
+
+    def relocate_ues(self, fraction: float, rng: np.random.Generator) -> Tuple[int, ...]:
+        """Move ``fraction`` of the UEs to fresh walkable ground (Section 5.2).
+
+        Draws through :func:`repro.mobility.models.relocate_fraction`
+        (vetoing cells at or above :data:`WALKABLE_CLEARANCE_M`), then
+        puts each moved UE's antenna back on its local ground.  Returns
+        the moved UE ids.
+        """
+        terrain = self.terrain
+
+        def walkable(x: float, y: float) -> bool:
+            return terrain.height_at(x, y) < WALKABLE_CLEARANCE_M
+
+        moved = relocate_fraction(self.ues, fraction, self.grid, rng, walkable)
+        for ue in self.ues:
+            if ue.ue_id in moved:
+                x, y = ue.position.x, ue.position.y
+                ue.move_to(x, y, terrain.height_at(x, y) + UE_ANTENNA_HEIGHT_M)
+        return tuple(moved)
 
     # -- oracle -------------------------------------------------------------------
 

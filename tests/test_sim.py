@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from repro.geo.points import Point3D
+from repro.lte.ue import UE_ANTENNA_HEIGHT_M
+from repro.mobility.models import relocate_fraction
 from repro.sim.metrics import median_rem_error, relative_series, summarize
-from repro.sim.scenario import Scenario
+from repro.sim.runner import run_simulation
+from repro.sim.scenario import WALKABLE_CLEARANCE_M, Scenario
 
 
 class TestScenario:
@@ -62,6 +65,52 @@ class TestScenario:
         pos, _ = small_scenario.optimal_position(60.0, "maxmin")
         rel = small_scenario.relative_throughput(pos)
         assert rel == pytest.approx(1.0)
+
+
+class TestDynamics:
+    def test_relocate_all_lands_on_walkable_ground(self):
+        scenario = Scenario.create("campus", n_ues=6, cell_size=4.0, seed=2)
+        moved = scenario.relocate_ues(1.0, np.random.default_rng(5))
+        assert sorted(moved) == [ue.ue_id for ue in scenario.ues]
+        for ue in scenario.ues:
+            ground = scenario.terrain.height_at(ue.position.x, ue.position.y)
+            assert ground < WALKABLE_CLEARANCE_M
+            assert ue.position.z == ground + UE_ANTENNA_HEIGHT_M
+
+    def test_relocate_keeps_the_mobility_draw_order(self):
+        """Same RNG, same picks: the scenario step is relocate_fraction."""
+        a = Scenario.create("campus", n_ues=6, cell_size=4.0, seed=2)
+        b = Scenario.create("campus", n_ues=6, cell_size=4.0, seed=2)
+        moved = a.relocate_ues(0.5, np.random.default_rng(9))
+        want = relocate_fraction(
+            b.ues,
+            0.5,
+            b.grid,
+            np.random.default_rng(9),
+            lambda x, y: b.terrain.height_at(x, y) < WALKABLE_CLEARANCE_M,
+        )
+        assert moved == tuple(want)
+        for ua, ub in zip(a.ues, b.ues):
+            assert (ua.position.x, ua.position.y) == (ub.position.x, ub.position.y)
+
+    def test_one_uav_fleet_sees_the_single_cell_dynamics(self):
+        """Fleet and SkyRAN runs of one seed move the same UEs and fly alike."""
+        kw = dict(n_epochs=3, move_fraction=0.5, seed=4)
+        single = run_simulation(
+            Scenario.create("campus", n_ues=4, cell_size=4.0, seed=4), **kw
+        ).records
+        fleet = run_simulation(
+            Scenario.create("campus", n_ues=4, cell_size=4.0, seed=4),
+            scheme="fleet",
+            n_uavs=1,
+            **kw,
+        ).fleet_records
+        assert len(single) == len(fleet) == 3
+        assert any(r.moved_ues for r in single)
+        for s_rec, f_rec in zip(single, fleet):
+            assert s_rec.moved_ues == f_rec.moved_ues
+            assert s_rec.flight_distance_m == f_rec.flight_distance_m
+            assert s_rec.flight_time_s == f_rec.flight_time_s
 
 
 class TestMetrics:

@@ -4,7 +4,7 @@ The streaming contract is *bit*-identity, not closeness: each streamed
 tile must carry exactly the values of the corresponding slab of the
 materialized ``(n_ue, ny, nx)`` stack, for every tiling — including
 row counts that do not divide the grid height and UE chunks that do
-not divide the population.  The folds (min, counts, placement) must
+not divide the population.  The folds (min, placement) must
 then commute with the tiling, and the REM-by-REM discounted placement
 fold must equal discounting and reducing the materialized stack.
 """
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from repro.channel.groundtruth import ground_truth_stack, iter_ground_truth_tiles
 from repro.core.placement import max_min_placement, uncertainty_penalty_db
 from repro.geo.grid import GridSpec
-from repro.rem.aggregate import aggregate_rem, min_snr_map
+from repro.rem.aggregate import min_snr_map
 from repro.rem.interpolate import (
     IDWInterpolator,
     available_interpolators,
@@ -27,8 +27,6 @@ from repro.rem.interpolate import (
 )
 from repro.rem.map import REM
 from repro.rem.streaming import (
-    streamed_aggregate_rem,
-    streamed_coverage_counts,
     streamed_discounted_max_min_placement,
     streamed_discounted_min_map,
     streamed_max_min_placement,
@@ -127,36 +125,9 @@ def test_streamed_min_map_and_placement(box_channel, ues, tile_rows, ue_chunk):
     )
 
 
-def test_streamed_coverage_counts(box_channel, ues):
-    grid = box_channel.terrain.grid
-    stack = box_channel.snr_maps(ues, ALTITUDE, use_cache=False)
-    threshold = float(np.median(stack))
-    counts = streamed_coverage_counts(
-        box_channel.iter_snr_map_tiles(ues, ALTITUDE, tile_rows=13, ue_chunk=2),
-        grid.shape,
-        threshold,
-    )
-    assert np.array_equal(counts, (stack >= threshold).sum(axis=0))
-
-
-def test_streamed_aggregate_rem_exact_with_full_ue_tiles(box_channel, ues):
-    """Full-UE tiles keep the float sum's association: bit-identical."""
-    grid = box_channel.terrain.grid
-    stack = box_channel.snr_maps(ues, ALTITUDE, use_cache=False)
-    agg = streamed_aggregate_rem(
-        box_channel.iter_snr_map_tiles(
-            ues, ALTITUDE, tile_rows=13, ue_chunk=len(ues)
-        ),
-        grid.shape,
-    )
-    assert np.array_equal(agg, aggregate_rem(stack))
-
-
 def test_streamed_folds_reject_empty():
     with pytest.raises(ValueError, match="at least one tile"):
         streamed_min_snr_map(iter([]), (4, 4))
-    with pytest.raises(ValueError, match="at least one tile"):
-        streamed_aggregate_rem(iter([]), (4, 4))
 
 
 def test_streamed_min_map_nan_poisons_cell():
