@@ -5,10 +5,10 @@ Runs two quick measurements and writes a ``BENCH_headline.json``
 artifact with wall times and :mod:`repro.perf` counters:
 
 1. **Oracle kernel speedup** — times :func:`ground_truth_stack` on a
-   campus terrain with 10 UEs (serial workers) against a faithful
-   re-implementation of the *seed* kernel (batch-wide sampling
-   density, no ceiling pruning, per-UE Python loop), and checks the
-   two agree to float tolerance.
+   campus terrain with 10 UEs (serial workers) against the *seed*
+   kernel (batch-wide sampling density, no ceiling pruning, per-UE
+   Python loop; ``tests/oracles.py``), and checks the two agree to
+   float tolerance.
 2. **Headline experiment** — the paper's abstract claim in quick mode
    (SkyRAN vs Uniform vs Centroid), timed with perf counters.  Every
    scheme is driven through :func:`repro.sim.runner.run_simulation`
@@ -36,80 +36,16 @@ import numpy as np
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT))  # the test-side oracles: tests/oracles.py
 
-from repro.channel.fspl import fspl_db  # noqa: E402
 from repro.channel.groundtruth import ground_truth_stack  # noqa: E402
 from repro.perf import peak_rss_bytes, perf  # noqa: E402
 from repro.sim.scenario import Scenario  # noqa: E402
+from tests.oracles import seed_ground_truth_stack  # noqa: E402
 
 #: Operating altitude for the oracle measurement (a typical campus
 #: optimum from the Fig. 8 reproduction).
 ALTITUDE_M = 60.0
-
-
-# -- faithful copy of the seed oracle (the baseline being beaten) ---------------
-
-
-def _seed_obstructed_lengths(terrain, tx_xyz, rx_xyz, step=1.0):
-    """The seed ray kernel: one batch-wide sample grid, no pruning."""
-    tx = np.atleast_2d(np.asarray(tx_xyz, dtype=float))
-    rx = np.atleast_2d(np.asarray(rx_xyz, dtype=float))
-    if rx.shape[0] == 1 and tx.shape[0] > 1:
-        rx = np.broadcast_to(rx, tx.shape)
-    margin = 0.02
-    n = tx.shape[0]
-    dist = np.linalg.norm(rx - tx, axis=1)
-    horiz = np.linalg.norm((rx - tx)[:, :2], axis=1)
-    max_dist = float(dist.max()) if n else 0.0
-    if max_dist == 0.0:
-        return np.zeros(n)
-    n_steps = max(2, int(np.ceil(max_dist / step)))
-    t = np.linspace(margin, 1.0 - margin, n_steps)
-    chunk = max(1, int(8_000_000 // n_steps))
-    out = np.empty(n, dtype=float)
-    grid = terrain.grid
-    for lo in range(0, n, chunk):
-        hi = min(n, lo + chunk)
-        txc, rxc = tx[lo:hi], rx[lo:hi]
-        xs = txc[:, None, 0] + t[None, :] * (rxc[:, 0] - txc[:, 0])[:, None]
-        ys = txc[:, None, 1] + t[None, :] * (rxc[:, 1] - txc[:, 1])[:, None]
-        zs = txc[:, None, 2] + t[None, :] * (rxc[:, 2] - txc[:, 2])[:, None]
-        ix = np.floor((xs - grid.origin_x) / grid.cell_size).astype(int)
-        iy = np.floor((ys - grid.origin_y) / grid.cell_size).astype(int)
-        np.clip(ix, 0, grid.nx - 1, out=ix)
-        np.clip(iy, 0, grid.ny - 1, out=iy)
-        surface = terrain.heights[iy, ix]
-        blocked = zs < surface
-        out[lo:hi] = blocked.mean(axis=1)
-    effective = np.maximum(horiz, 0.15 * dist)
-    return out * effective * (1.0 - 2 * margin)
-
-
-def _seed_ground_truth_stack(channel, ue_positions, altitude, grid):
-    """The seed map oracle: per-UE Python loop over full-map traces."""
-    maps = []
-    centers = grid.centers_flat()
-    uav = np.column_stack([centers, np.full(len(centers), float(altitude))])
-    for ue in ue_positions:
-        ue = np.asarray(ue, dtype=float).reshape(3)
-        dist = np.linalg.norm(uav - ue[None, :], axis=1)
-        loss = fspl_db(dist, channel.freq_hz)
-        obstructed = _seed_obstructed_lengths(channel.terrain, uav, ue, channel.ray_step_m)
-        excess = np.where(
-            obstructed > 0.0,
-            np.minimum(
-                channel.diffraction_db + channel.excess_db_per_m * obstructed,
-                channel.excess_cap_db,
-            ),
-            0.0,
-        )
-        loss = loss + excess
-        if channel.shadowing_sigma_db > 0:
-            loss = loss + channel._shadowing_for(ue).at_many(uav[:, :2])
-        if channel.common_sigma_db > 0:
-            loss = loss + channel._common_shadowing().at_many(uav[:, :2])
-        maps.append(channel.link.snr_db(loss).reshape(grid.shape))
-    return np.stack(maps)
 
 
 def _time_min(fn, repeats):
@@ -131,11 +67,11 @@ def bench_oracle(n_ues: int, repeats: int) -> dict:
     # Warm the shadowing fields so both sides time the map kernel, not
     # one-time field synthesis.
     batched = ground_truth_stack(channel, ues, ALTITUDE_M, grid, use_cache=False)
-    seed_stack = _seed_ground_truth_stack(channel, ues, ALTITUDE_M, grid)
+    seed_stack = seed_ground_truth_stack(channel, ues, ALTITUDE_M, grid)
 
     diff = np.abs(batched - seed_stack)
     t_seed = _time_min(
-        lambda: _seed_ground_truth_stack(channel, ues, ALTITUDE_M, grid), repeats
+        lambda: seed_ground_truth_stack(channel, ues, ALTITUDE_M, grid), repeats
     )
     perf.reset()
     t_batched = _time_min(
@@ -170,25 +106,24 @@ def bench_localization(n_ues: int, repeats: int) -> dict:
     One 20 m localization flight at 100 m altitude over the campus with
     ``n_ues`` UEs, run end to end (SRS synthesis -> channel -> Eq. 1-3
     ToF -> MAD filter -> joint multilateration) twice: through the
-    per-symbol reference path (re-synthesizing the SRS symbol per
-    reception, as the seed did, and finite-differencing the joint
-    Jacobian) and through the batched kernels with the analytic
-    Jacobian.  The two observation sets must match exactly (the batch
+    per-symbol oracles of ``tests/oracles.py`` (re-synthesizing the SRS
+    symbol per reception, as the seed did, and the seed joint solver
+    with its per-UE-loop residuals and finite-difference Jacobian) and
+    through the production batched kernels and analytic Jacobian.  The two observation sets must match exactly (the batch
     kernels are bit-identical under the documented RNG draw schedule);
     the positions agree to solver tolerance.
     """
-    from repro.flight.sampler import (  # noqa: E402
-        collect_gps_ranges,
-        collect_gps_ranges_reference,
-    )
+    from repro.flight.sampler import collect_gps_ranges  # noqa: E402
     from repro.flight.uav import UAV  # noqa: E402
     from repro.localization.joint import solve_joint_multilateration  # noqa: E402
-    from repro.localization.ranging import (  # noqa: E402
-        mad_filter,
-        mad_filter_reference,
-    )
+    from repro.localization.ranging import mad_filter  # noqa: E402
     from repro.lte.tof import ToFEstimator  # noqa: E402
     from repro.trajectory.random_flight import random_flight  # noqa: E402
+    from tests.oracles import (  # noqa: E402
+        collect_gps_ranges_reference,
+        mad_filter_reference,
+        solve_joint_multilateration_seed,
+    )
 
     scenario = Scenario.create("campus", n_ues=n_ues, seed=0)
     grid = scenario.grid
@@ -244,26 +179,18 @@ def bench_localization(n_ues: int, repeats: int) -> dict:
     t_collect_batched = _time_min(lambda: collect(collect_gps_ranges), repeats)
     loc_counters = perf.counters()
 
-    res_ref = solve_joint_multilateration(
-        obs_reference, bounds_xy=bounds, jac="2-point", model="reference"
-    )
-    res_batched = solve_joint_multilateration(
-        obs_batched, bounds_xy=bounds, jac="analytic"
-    )
+    res_ref = solve_joint_multilateration_seed(obs_reference, bounds_xy=bounds)
+    res_batched = solve_joint_multilateration(obs_batched, bounds_xy=bounds)
     max_position_delta_m = max(
         float(np.linalg.norm(res_batched.per_ue[u].position - res_ref.per_ue[u].position))
         for u in res_batched.per_ue
     )
     t_solve_ref = _time_min(
-        lambda: solve_joint_multilateration(
-            obs_reference, bounds_xy=bounds, jac="2-point", model="reference"
-        ),
+        lambda: solve_joint_multilateration_seed(obs_reference, bounds_xy=bounds),
         repeats,
     )
     t_solve_batched = _time_min(
-        lambda: solve_joint_multilateration(
-            obs_batched, bounds_xy=bounds, jac="analytic"
-        ),
+        lambda: solve_joint_multilateration(obs_batched, bounds_xy=bounds),
         repeats,
     )
 
@@ -314,6 +241,7 @@ def bench_mac(n_ues: int, repeats: int) -> dict:
         run_tti_batch,
     )
     from repro.traffic.simulate import rate_per_prb_bytes  # noqa: E402
+    from tests.oracles import run_tti_batch_reference  # noqa: E402
 
     n_tti = 2000
     ue_ids = tuple(range(1, n_ues + 1))
@@ -328,12 +256,12 @@ def bench_mac(n_ues: int, repeats: int) -> dict:
         # Fresh queue bank and scheduler per call: both carry state
         # (backlogs, PF averages) that must not leak between timings.
         queues = QueueBank(ue_ids, full_buffer=full_buffer)
-        return run_tti_batch(
+        run = run_tti_batch_reference if reference else run_tti_batch
+        return run(
             bytes_per_prb=rates,
             offered_bytes=offered_arr,
             scheduler=make_scheduler(sched_name),
             queues=queues,
-            reference=reference,
         )
 
     cases = {}
@@ -487,8 +415,8 @@ def bench_fleet(n_ues: int, repeats: int) -> dict:
         fleet_rx_power_dbm,
         fleet_sinr_db_stack,
         reuse_carriers,
-        sinr_db,
     )
+    from tests.oracles import sinr_db  # noqa: E402
 
     scenario = Scenario.create(
         "campus", n_ues=n_ues, seed=0, channel_kwargs={"shadowing_sigma_db": 0.0}

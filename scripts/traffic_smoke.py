@@ -3,10 +3,10 @@
 
 Four checks, all hard failures:
 
-1. **Kernel == reference** — a loaded Poisson TTI batch through each
+1. **Kernel == replay** — a loaded Poisson TTI batch through each
    registered scheduler must be *bit-identical* between the vectorized
-   kernel and the pure-Python per-TTI reference (grants, served,
-   dropped bytes and final backlogs).
+   kernel and the pure-Python per-TTI replay in ``tests/oracles.py``
+   (grants, served, dropped bytes and final backlogs).
 2. **Conservation** — every TTI with any schedulable UE grants exactly
    ``n_prb`` PRBs; zero-rate UEs never receive a grant; served bytes
    never exceed offered + initial backlog.
@@ -39,6 +39,7 @@ import numpy as np
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT))  # the test-side oracles: tests/oracles.py
 
 from repro.core.config import SkyRANConfig  # noqa: E402
 from repro.faults import FaultPlan  # noqa: E402
@@ -52,6 +53,7 @@ from repro.traffic import (  # noqa: E402
     run_tti_batch,
 )
 from repro.traffic.simulate import rate_per_prb_bytes  # noqa: E402
+from tests.oracles import run_tti_batch_reference  # noqa: E402
 
 
 def check_kernel_vs_reference(n_ues: int, n_tti: int, seed: int) -> dict:
@@ -77,12 +79,11 @@ def check_kernel_vs_reference(n_ues: int, n_tti: int, seed: int) -> dict:
         )
         t_kernel = time.perf_counter() - t0
         t0 = time.perf_counter()
-        res_r = run_tti_batch(
+        res_r = run_tti_batch_reference(
             bytes_per_prb=rates,
             offered_bytes=offered,
             scheduler=make_scheduler(name),
             queues=q_r,
-            reference=True,
         )
         t_reference = time.perf_counter() - t0
         identical = all(

@@ -35,11 +35,10 @@ from repro.channel.fading import sample_fading_db
 from repro.channel.linkbudget import LinkBudget
 from repro.channel.model import ChannelModel
 from repro.channel.groundtruth import ground_truth_rem, ground_truth_stack
-from repro.channel.interference import fleet_sinr_db, sinr_db
+from repro.channel.interference import fleet_sinr_db
 
 __all__ = [
     "fleet_sinr_db",
-    "sinr_db",
     "fspl_db",
     "fspl_map",
     "LinkState",

@@ -57,24 +57,3 @@ def ground_truth_stack(
         return model.snr_maps(
             ue_positions, altitude, grid, workers=workers, use_cache=use_cache
         )
-
-
-def iter_ground_truth_tiles(
-    model: ChannelModel,
-    ue_positions: Sequence,
-    altitude: float,
-    grid: Optional[GridSpec] = None,
-    *,
-    tile_rows: int = 64,
-    ue_chunk: Optional[int] = None,
-):
-    """Stream the oracle stack as ``(ue_slice, row_slice, block)`` tiles.
-
-    The memory-bounded counterpart of :func:`ground_truth_stack`: cell
-    values are bit-identical, but no ``(n_ue, ny, nx)`` array is ever
-    materialized — consumers fold tiles as they arrive (see
-    :mod:`repro.rem.streaming`).
-    """
-    yield from model.iter_snr_map_tiles(
-        ue_positions, altitude, grid, tile_rows=tile_rows, ue_chunk=ue_chunk
-    )

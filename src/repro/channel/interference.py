@@ -8,17 +8,12 @@ fleet controller uses it to score associations and sectorizations
 honestly — two UAVs parked next to each other *hurt* each other,
 which pure-SNR scoring cannot see.
 
-Two implementations exist side by side, per the repo-wide contract:
-
-* :func:`sinr_db` / :func:`fleet_sinr_db_reference` — scalar Python
-  loops, one path-loss query per (UAV, UE) pair.  Slow, obviously
-  correct, kept forever as the test reference.
-* :func:`fleet_rx_power_dbm` / :func:`fleet_sinr_db_stack` — one
-  vectorized ray batch per UAV via
-  :meth:`ChannelModel.path_loss_to_many`, interference accumulated
-  over UAV index in ascending order so every UE's arithmetic matches
-  the scalar reference term for term.  **Bit-identical** to the
-  references, and what the fleet hot paths call.
+:func:`fleet_rx_power_dbm` / :func:`fleet_sinr_db_stack` run one
+vectorized ray batch per UAV via
+:meth:`ChannelModel.path_loss_to_many` and accumulate interference
+over UAV index in ascending order, so every UE's arithmetic is the
+term-for-term sum a scalar per-(UAV, UE) loop would do (the tests pin
+the stack to such a loop, bit for bit).
 
 Frequency reuse: each cell carries an integer carrier index
 (:func:`reuse_carriers` maps cell ``i`` to ``i % reuse_factor``); only
@@ -72,65 +67,6 @@ def _carriers(n: int, carriers: Optional[Sequence[int]]) -> np.ndarray:
     return carr
 
 
-def sinr_db(
-    channel: ChannelModel,
-    uav_positions: Sequence[np.ndarray],
-    ue_xyz: np.ndarray,
-    serving_index: int,
-    activity: Optional[Sequence[float]] = None,
-    carriers: Optional[Sequence[int]] = None,
-) -> float:
-    """SINR of a UE served by one UAV amid the rest of the fleet.
-
-    Parameters
-    ----------
-    channel:
-        The shared radio environment (every UAV sees the same world).
-    uav_positions:
-        One ``(3,)`` position per UAV.
-    ue_xyz:
-        The UE being scored.
-    serving_index:
-        Index of the serving UAV within ``uav_positions``.
-    activity:
-        Per-UAV downlink activity factors in [0, 1] (fraction of PRBs
-        loaded).  Defaults to fully loaded interferers — the
-        conservative, busy-hour assumption.
-    carriers:
-        Per-UAV carrier indices; only UAVs sharing the serving cell's
-        carrier interfere.  Defaults to all co-channel.
-
-    Returns
-    -------
-    SINR in dB.
-    """
-    n = len(uav_positions)
-    if not 0 <= serving_index < n:
-        raise ValueError(f"serving_index {serving_index} out of range for {n} UAVs")
-    act = _activity(n, activity)
-    carr = _carriers(n, carriers)
-
-    link = channel.link
-    rx_dbm = np.array(
-        [
-            link.rx_power_dbm(float(channel.path_loss_db(np.asarray(p, dtype=float), ue_xyz)))
-            for p in uav_positions
-        ]
-    )
-    # dBm -> mW via the array kernel: numpy's scalar ``**`` can differ
-    # from the array ufunc by one ulp, and the batched stack path must
-    # stay bit-identical to this reference.
-    rx_mw = 10.0 ** (rx_dbm / 10.0)
-    signal_mw = rx_mw[serving_index]
-    noise_mw = 10.0 ** (link.noise_floor_dbm / 10.0)
-    interf_mw = 0.0
-    for j in range(n):
-        if j == serving_index or carr[j] != carr[serving_index]:
-            continue
-        interf_mw += act[j] * rx_mw[j]
-    return float(10.0 * np.log10(signal_mw / (noise_mw + interf_mw)))
-
-
 def fleet_rx_power_dbm(
     channel: ChannelModel,
     uav_positions: Sequence[np.ndarray],
@@ -140,8 +76,7 @@ def fleet_rx_power_dbm(
 
     One vectorized ray batch per UAV.  Row ``j`` is bit-identical to
     querying :meth:`ChannelModel.path_loss_db` per UE (the
-    :meth:`path_loss_to_many` contract), so anything derived from this
-    stack with matching arithmetic matches the scalar references.
+    :meth:`path_loss_to_many` contract).
     """
     ues = np.atleast_2d(np.asarray(ue_positions, dtype=float))
     n_uav = len(uav_positions)
@@ -160,11 +95,15 @@ def sinr_db_from_rx_stack(
 ) -> np.ndarray:
     """Per-UE SINR (dB) from a precomputed ``(n_uav, n_ue)`` rx stack.
 
-    ``serving[k]`` is the serving UAV index of UE ``k``.  Interference
-    is accumulated over UAV index ``j`` in ascending order — the same
-    term order as the scalar :func:`sinr_db` loop — with excluded
+    ``serving[k]`` is the serving UAV index of UE ``k``; ``activity``
+    holds per-UAV downlink activity factors in [0, 1] (fraction of
+    PRBs loaded; defaults to fully loaded interferers, the
+    conservative busy-hour assumption) and ``carriers`` per-UAV
+    carrier indices (only UAVs sharing the serving cell's carrier
+    interfere; defaults to all co-channel).  Interference is
+    accumulated over UAV index ``j`` in ascending order, with excluded
     terms (serving cell, off-carrier cells) contributed as an exact
-    ``0.0``, so every UE's result is bit-identical to the reference.
+    ``0.0``.
     """
     rx_dbm = np.asarray(rx_dbm, dtype=float)
     n_uav, n_ue = rx_dbm.shape
@@ -195,10 +134,11 @@ def fleet_sinr_db_stack(
     activity: Optional[Sequence[float]] = None,
     carriers: Optional[Sequence[int]] = None,
 ) -> np.ndarray:
-    """Per-UE SINR (dB), batched — bit-identical to the scalar loop.
+    """Per-UE SINR (dB) of UEs served amid the rest of the fleet.
 
     The fleet hot path: one ray batch per UAV instead of one per
-    (UAV, UE) pair.
+    (UAV, UE) pair; see :func:`sinr_db_from_rx_stack` for the
+    arguments.
     """
     rx_dbm = fleet_rx_power_dbm(channel, uav_positions, ue_positions)
     return sinr_db_from_rx_stack(
@@ -217,8 +157,7 @@ def fleet_sinr_db(
     """Per-UE SINR for a whole fleet assignment (dict API).
 
     ``serving[ue_id]`` is the index of the UAV that serves the UE.
-    Routed through the batched stack; bit-identical to
-    :func:`fleet_sinr_db_reference`.
+    Routed through :func:`fleet_sinr_db_stack`.
     """
     ue_ids = list(ue_positions.keys())
     if not ue_ids:
@@ -227,21 +166,6 @@ def fleet_sinr_db(
     srv = np.array([serving[u] for u in ue_ids], dtype=int)
     out = fleet_sinr_db_stack(channel, uav_positions, xyz, srv, activity, carriers)
     return {u: float(s) for u, s in zip(ue_ids, out)}
-
-
-def fleet_sinr_db_reference(
-    channel: ChannelModel,
-    uav_positions: Sequence[np.ndarray],
-    ue_positions: Dict[int, np.ndarray],
-    serving: Dict[int, int],
-    activity: Optional[Sequence[float]] = None,
-    carriers: Optional[Sequence[int]] = None,
-) -> Dict[int, float]:
-    """Loop reference for :func:`fleet_sinr_db` — kept for tests."""
-    return {
-        ue_id: sinr_db(channel, uav_positions, ue_xyz, serving[ue_id], activity, carriers)
-        for ue_id, ue_xyz in ue_positions.items()
-    }
 
 
 def interference_penalty_db(

@@ -495,7 +495,7 @@ class ChannelModel:
             return loss
         return self.link.snr_db(loss)
 
-    # -- fleet SINR oracle ---------------------------------------------------------
+    # -- co-channel interference ----------------------------------------------------
 
     def interference_mw(
         self,
@@ -509,9 +509,7 @@ class ChannelModel:
         every UE, scaled by per-interferer activity factors (fraction
         of PRBs loaded; defaults to fully loaded — the conservative
         busy-hour assumption).  The accumulation visits interferers in
-        ascending index order, matching the scalar reference in
-        :mod:`repro.channel.interference` term for term, so the batched
-        and loop paths agree bit for bit.
+        ascending index order.
         """
         ues = np.atleast_2d(np.asarray(ue_positions, dtype=float))
         interferers = [
@@ -532,84 +530,6 @@ class ChannelModel:
             rx_dbm = self.link.rx_power_dbm(self.path_loss_to_many(pos, ues))
             out += act[j] * 10.0 ** (rx_dbm / 10.0)
         return out
-
-    def sinr_maps(
-        self,
-        ue_positions: Sequence,
-        altitude: float,
-        grid: Optional[GridSpec] = None,
-        *,
-        interferer_positions: Sequence = (),
-        activity: Optional[Sequence[float]] = None,
-        workers: Optional[int] = None,
-        use_cache: bool = True,
-    ) -> np.ndarray:
-        """Per-UE SINR maps under fixed co-channel interferers, stacked.
-
-        For each grid cell the *serving* transmitter is hypothetically
-        placed at that cell (at ``altitude``); the ``interferer_positions``
-        are fixed 3D points (the rest of the fleet), so each UE's
-        interference-plus-noise denominator is a per-UE constant over
-        the candidate axis.  With no interferers this is **exactly**
-        :meth:`snr_maps` (same arithmetic, no round trip through mW),
-        which is what makes the 1-UAV fleet degenerate cleanly.
-        """
-        pl = self.path_loss_maps(
-            ue_positions, altitude, grid, workers=workers, use_cache=use_cache
-        )
-        if len(interferer_positions) == 0:
-            return self.link.snr_db(pl)
-        denom_db = self._sinr_denominator_db(
-            ue_positions, interferer_positions, activity
-        )
-        return self.link.rx_power_dbm(pl) - denom_db[:, None, None]
-
-    def iter_sinr_map_tiles(
-        self,
-        ue_positions: Sequence,
-        altitude: float,
-        grid: Optional[GridSpec] = None,
-        *,
-        interferer_positions: Sequence = (),
-        activity: Optional[Sequence[float]] = None,
-        tile_rows: int = 64,
-        ue_chunk: Optional[int] = None,
-    ):
-        """Stream SINR maps as ``(ue_slice, row_slice, block)`` tiles.
-
-        The streamed counterpart of :meth:`sinr_maps`, bit-identical to
-        it for every tiling: path-loss tiles carry exactly the
-        materialized values (the PR 6 contract), and the SINR
-        conversion — received power minus a per-UE
-        interference-plus-noise constant — is elementwise, so
-        restricting the computation to a band of rows changes nothing
-        per cell.  With no interferers it degrades to exactly
-        :meth:`iter_snr_map_tiles`.
-        """
-        if len(interferer_positions) == 0:
-            yield from self.iter_snr_map_tiles(
-                ue_positions, altitude, grid, tile_rows=tile_rows, ue_chunk=ue_chunk
-            )
-            return
-        denom_db = self._sinr_denominator_db(
-            ue_positions, interferer_positions, activity
-        )
-        for ue_sl, row_sl, block in self.iter_path_loss_map_tiles(
-            ue_positions, altitude, grid, tile_rows=tile_rows, ue_chunk=ue_chunk
-        ):
-            sinr = self.link.rx_power_dbm(block) - denom_db[ue_sl, None, None]
-            yield ue_sl, row_sl, sinr
-
-    def _sinr_denominator_db(
-        self,
-        ue_positions: Sequence,
-        interferer_positions: Sequence,
-        activity: Optional[Sequence[float]],
-    ) -> np.ndarray:
-        """Per-UE ``10·log10(noise + interference)`` in dBm."""
-        noise_mw = 10.0 ** (self.link.noise_floor_dbm / 10.0)
-        interf = self.interference_mw(ue_positions, interferer_positions, activity)
-        return 10.0 * np.log10(noise_mw + interf)
 
     def _compute_path_loss_maps(
         self, ues: Sequence[np.ndarray], altitude: float, g: GridSpec

@@ -11,14 +11,13 @@ bit-identical to the small-scale reference kernels it decomposes.
 """
 
 from repro.city.mac import CityMACResult, ShardRoundRobin, run_city_mac
-from repro.city.population import DEFAULT_SHARD_UES, SHARD_ENV, UEPopulation, shard_size
+from repro.city.population import DEFAULT_SHARD_UES, UEPopulation, shard_size
 from repro.city.scenario import CityScenario
 
 __all__ = [
     "CityMACResult",
     "CityScenario",
     "DEFAULT_SHARD_UES",
-    "SHARD_ENV",
     "ShardRoundRobin",
     "UEPopulation",
     "run_city_mac",

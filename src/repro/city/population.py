@@ -17,7 +17,6 @@ rather than with the population.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Iterator, Tuple
 
@@ -31,9 +30,6 @@ from repro.terrain.heightmap import Terrain
 #: and fault streams that share the run seed.
 CITY_SPAWN_KEY = 0x51EE
 
-#: Environment knob for the shard width of the city kernels.
-SHARD_ENV = "REPRO_SHARD_UES"
-
 #: Default UEs per shard: big enough to amortize per-shard Python
 #: overhead, small enough that a shard's (UEs x TTIs) MAC slabs stay
 #: tens of megabytes.
@@ -41,15 +37,12 @@ DEFAULT_SHARD_UES = 2048
 
 
 def shard_size(override: int | None = None) -> int:
-    """Shard width from ``override``, else ``REPRO_SHARD_UES``, else default."""
-    if override is not None:
-        if override < 1:
-            raise ValueError(f"shard size must be >= 1, got {override}")
-        return int(override)
-    try:
-        return max(1, int(os.environ.get(SHARD_ENV, str(DEFAULT_SHARD_UES))))
-    except ValueError:
+    """Shard width from ``override``, else :data:`DEFAULT_SHARD_UES`."""
+    if override is None:
         return DEFAULT_SHARD_UES
+    if override < 1:
+        raise ValueError(f"shard size must be >= 1, got {override}")
+    return int(override)
 
 
 @dataclass

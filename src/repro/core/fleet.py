@@ -47,7 +47,6 @@ import numpy as np
 
 from repro.channel.interference import (
     fleet_sinr_db,
-    fleet_sinr_db_reference,
     fleet_rx_power_dbm,
     interference_penalty_db,
     reuse_carriers,
@@ -593,9 +592,8 @@ class FleetController:
         """Best-serving-cell SNR per UE at the current fleet positions.
 
         Batched: one :meth:`~ChannelModel.snr_to_many` ray batch per
-        cell, max over the cell axis.  Bit-identical to
-        :meth:`per_ue_snr_db_reference` (and exactly invariant to cell
-        order — max commutes).
+        cell, max over the cell axis (exactly invariant to cell order —
+        max commutes).
         """
         if not self.ues:
             return {}
@@ -607,16 +605,6 @@ class FleetController:
         best = stack.max(axis=0)
         return {ue.ue_id: float(s) for ue, s in zip(ues, best)}
 
-    def per_ue_snr_db_reference(self) -> Dict[int, float]:
-        """Loop reference for :meth:`per_ue_snr_db` — kept for tests."""
-        out: Dict[int, float] = {}
-        for ue in self.ues:
-            best = -np.inf
-            for ctrl in self.controllers:
-                best = max(best, float(self.channel.snr_db(ctrl.uav.position, ue.xyz)))
-            out[ue.ue_id] = best
-        return out
-
     def per_ue_sinr_db(
         self,
         serving: Optional[Dict[int, int]] = None,
@@ -627,30 +615,11 @@ class FleetController:
 
         Unlike :meth:`per_ue_snr_db`, this charges each link with the
         co-channel cells' downlink as interference — the honest fleet
-        KPI.  Batched via the SINR stack; bit-identical to
-        :meth:`per_ue_sinr_db_reference`.
+        KPI.  Batched via the SINR stack.
         """
         serving = self.serving_dict() if serving is None else serving
         ue_positions = {ue.ue_id: ue.xyz for ue in self.ues if ue.ue_id in serving}
         return fleet_sinr_db(
-            self.channel,
-            self.uav_positions(),
-            ue_positions,
-            serving,
-            self.activity if activity is None else activity,
-            self.carriers(reuse_factor),
-        )
-
-    def per_ue_sinr_db_reference(
-        self,
-        serving: Optional[Dict[int, int]] = None,
-        activity: Optional[Sequence[float]] = None,
-        reuse_factor: Optional[int] = None,
-    ) -> Dict[int, float]:
-        """Loop reference for :meth:`per_ue_sinr_db` — kept for tests."""
-        serving = self.serving_dict() if serving is None else serving
-        ue_positions = {ue.ue_id: ue.xyz for ue in self.ues if ue.ue_id in serving}
-        return fleet_sinr_db_reference(
             self.channel,
             self.uav_positions(),
             ue_positions,

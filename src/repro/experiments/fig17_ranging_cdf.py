@@ -6,9 +6,9 @@ upsampling at 10 MHz, roughly independent of the UE's environment.
 
 Each flight's SRS receptions run through the batched channel/Eq. 1-3
 kernels (via :func:`repro.flight.sampler.collect_gps_ranges`), which
-are bit-identical to the retained per-symbol reference under the
-documented RNG draw schedule — so cached artifacts regenerate
-unchanged.
+are bit-identical to a per-symbol loop under the documented RNG draw
+schedule (the equivalence the tests pin) — so cached artifacts
+regenerate unchanged.
 """
 
 from __future__ import annotations

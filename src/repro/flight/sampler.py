@@ -36,7 +36,6 @@ from repro.localization.multilateration import MultilaterationResult, solve_mult
 from repro.localization.ranging import (
     GpsRange,
     aggregate_tof_to_gps,
-    aggregate_tof_to_gps_reference,
     mad_filter,
 )
 from repro.flight.uav import FlightLog
@@ -63,13 +62,12 @@ UPLINK_BUDGET = LinkBudget(
     tx_power_dbm=23.0, tx_gain_dbi=0.0, rx_gain_dbi=5.0, noise_figure_db=7.0
 )
 
-#: Multipath templates per LOS state.  LOS keeps a weak ground bounce
-#: (excess delay 2*h_ue*h_uav/d is metre-scale for UAV geometries,
-#: ~0.1 sample at 15.36 MS/s); NLOS attenuates the direct path against
-#: two delayed reflections, biasing the correlation peak late.  Row 0
-#: is the LOS template, row 1 NLOS, left-packed for the batch kernel.
-_TAPS_LOS: Tuple[Tuple[float, float], ...] = ((0.1, -9.0),)
-_TAPS_NLOS: Tuple[Tuple[float, float], ...] = ((0.5, -3.0), (1.2, -6.0))
+#: Multipath templates per LOS state, as (excess delay in samples,
+#: power in dB) taps.  LOS keeps a weak ground bounce (excess delay
+#: 2*h_ue*h_uav/d is metre-scale for UAV geometries, ~0.1 sample at
+#: 15.36 MS/s); NLOS attenuates the direct path against two delayed
+#: reflections, biasing the correlation peak late.  Row 0 is the LOS
+#: template, row 1 NLOS, left-packed for the batch kernel.
 _TAP_EXCESS = np.array([[0.1, 0.0], [0.5, 1.2]])
 _TAP_POWER_DB = np.array([[-9.0, 0.0], [-3.0, -6.0]])
 _TAP_MASK = np.array([[True, False], [True, True]])
@@ -110,10 +108,8 @@ def collect_gps_ranges(
 
     The whole flight's receptions run through the batched channel and
     Eq. 1-3 kernels (:func:`repro.lte.srs.apply_channel_batch`,
-    :func:`repro.lte.tof.estimate_delays_batch`) in one shot; the
-    result is bit-identical to :func:`collect_gps_ranges_reference`,
-    the retained per-symbol loop, under the batch kernel's documented
-    RNG draw schedule.
+    :func:`repro.lte.tof.estimate_delays_batch`) in one shot, in the
+    batch kernel's documented RNG draw schedule.
     """
     with perf.span("loc.collect_ranges"):
         cfg = enodeb.srs_config
@@ -176,80 +172,6 @@ def collect_gps_ranges(
         return aggregate_tof_to_gps(
             gps_t, gps_xyz, srs_delivered[srs_keep], ranges[srs_keep]
         )
-
-
-def collect_gps_ranges_reference(
-    log: FlightLog,
-    ue: UE,
-    channel: ChannelModel,
-    enodeb: ENodeB,
-    estimator: ToFEstimator,
-    rng: np.random.Generator,
-    processing_offset_m: float = DEFAULT_PROCESSING_OFFSET_M,
-    srs_rate_hz: float = SRS_RATE_HZ,
-    faults: Optional["FaultInjector"] = None,
-    min_quality: Optional[float] = None,
-    resynthesize: bool = False,
-) -> List[GpsRange]:
-    """Per-symbol reference implementation of :func:`collect_gps_ranges`.
-
-    The original one-reception-at-a-time loop, retained verbatim as the
-    equivalence oracle for the batched kernels and as the benchmark
-    baseline.  ``resynthesize=True`` additionally re-synthesizes the
-    SRS symbol for every reception (as the pre-cache seed code did), so
-    benchmarks can charge the reference the seed's true per-symbol
-    cost.  Bit-identical to :func:`collect_gps_ranges` for the same
-    generator state.
-    """
-    from repro.lte.srs import apply_channel, synthesize_srs_symbol
-
-    cfg = enodeb.srs_config
-    n_srs = max(2, int(log.duration_s * srs_rate_hz) + 1)
-    srs_times = np.linspace(log.t_s[0], log.t_s[-1], n_srs)
-    if faults is not None:
-        srs_keep, srs_delivered = faults.srs_faults(srs_times)
-    else:
-        srs_keep, srs_delivered = np.ones(n_srs, dtype=bool), srs_times
-    true_pos = _positions_at(log, srs_times, "true")
-    ue_xyz = ue.xyz
-
-    dist = np.linalg.norm(true_pos - ue_xyz[None, :], axis=1)
-    path_loss, los = channel.path_loss_and_los(true_pos, ue_xyz)
-    snr = UPLINK_BUDGET.snr_db(path_loss)
-    jitter_std = np.where(los, TOF_JITTER_LOS_S, TOF_JITTER_NLOS_S)
-    jitter_m = rng.normal(0.0, 1.0, n_srs) * jitter_std * 299_792_458.0
-
-    known = enodeb.known_srs_symbol(ue)
-    ranges = np.full(n_srs, np.nan)
-    for i in range(n_srs):
-        if not srs_keep[i]:
-            continue  # burst lost before it reached the eNodeB
-        true_range = dist[i] + processing_offset_m + jitter_m[i]
-        delay = true_range / cfg.meters_per_sample
-        taps: Sequence[Tuple[float, float]] = _TAPS_LOS if los[i] else _TAPS_NLOS
-        if resynthesize:
-            tx = synthesize_srs_symbol(cfg, ue.srs_root)
-            rx = apply_channel(tx, cfg, delay, float(snr[i]), rng, taps)
-        else:
-            rx = enodeb.receive_srs(ue, delay, float(snr[i]), rng, multipath=taps)
-        if min_quality is not None:
-            range_m, quality = estimator.range_and_quality_m(rx, known)
-            if quality < min_quality:
-                srs_keep[i] = False
-                perf.count("fallback.srs_quality_reject")
-                continue
-            ranges[i] = range_m
-        else:
-            ranges[i] = estimator.range_m(rx, known)
-
-    if faults is not None:
-        ranges[srs_keep] = faults.tof_outliers(ranges[srs_keep])
-    gps_t, gps_xyz = log.t_s, log.gps_xyz
-    if log.gps_valid is not None:
-        gps_t, gps_xyz = gps_t[log.gps_valid], gps_xyz[log.gps_valid]
-    return aggregate_tof_to_gps_reference(
-        gps_t, gps_xyz, srs_delivered[srs_keep], ranges[srs_keep]
-    )
 
 
 def localize_ue(

@@ -54,22 +54,57 @@ def _stack_observations(observations: Sequence[GpsRange]):
     return anchors, ranges
 
 
-#: Jacobian modes for the joint solve.  "analytic" evaluates the exact
-#: closed-form Jacobian in one vectorized pass; "2-point" is SciPy's
-#: dense finite differencing (2U+1 residual sweeps per step — the
-#: pre-analytic behavior, retained as the validation oracle) and
-#: "3-point" its higher-order variant (truncation error ~eps^(2/3)
-#: instead of ~sqrt(eps), the tighter oracle for validating the
-#: analytic mode); "sparse-2-point" finite-differences through the
-#: block sparsity pattern with the lsmr trust-region solver.
-JAC_MODES = ("analytic", "2-point", "3-point", "sparse-2-point")
+def _flatten(data, ue_ids):
+    """Stack per-UE ``(anchors, ranges)`` into flat arrays + a UE-index vector."""
+    anchors = np.concatenate([data[u][0] for u in ue_ids], axis=0)
+    ranges = np.concatenate([data[u][1] for u in ue_ids])
+    ue_idx = np.concatenate(
+        [np.full(len(data[u][1]), i, dtype=int) for i, u in enumerate(ue_ids)]
+    )
+    return anchors, ranges, ue_idx
 
-#: Residual-model implementations.  "vectorized" evaluates all UEs in
-#: one flat pass (and is the only model with an analytic Jacobian);
-#: "reference" retains the per-UE-loop residual closure the solver
-#: shipped with, as the honest baseline for benchmarking and for
-#: validating that vectorization did not change the solve.
-MODEL_MODES = ("vectorized", "reference")
+
+def _joint_model(anchors, ranges, ue_idx, n_ue, ue_z, prior_b=0.0, prior_w=0.0):
+    """``(residuals, jacobian)`` of the joint problem over flat observations.
+
+    ``theta`` is ``[x_0, y_0, ..., x_{U-1}, y_{U-1}, b]``; row ``i`` is
+    ``||p_{ue_idx[i]} - a_i|| + b - r_i``, plus one
+    ``sqrt(prior_w) * (b - prior_b)`` row when a prior is given.  The
+    Jacobian is exact and closed-form: each observation row touches
+    only its UE's two coordinates, ``(p_xy - a_xy) / dist``, and the
+    shared offset, ``1``.
+    """
+    ax, ay = anchors[:, 0], anchors[:, 1]
+    dz2 = (anchors[:, 2] - ue_z) ** 2
+    m = len(ranges)
+    rows = m + (1 if prior_w > 0 else 0)
+    xi, yi = 2 * ue_idx, 2 * ue_idx + 1
+    n_params = 2 * n_ue + 1
+
+    def residuals(theta: np.ndarray) -> np.ndarray:
+        dx = ax - theta[xi]
+        dy = ay - theta[yi]
+        dist = np.sqrt(dx * dx + dy * dy + dz2)
+        out = np.empty(rows)
+        out[:m] = dist + theta[-1] - ranges
+        if prior_w > 0:
+            out[m] = np.sqrt(prior_w) * (theta[-1] - prior_b)
+        return out
+
+    def jacobian(theta: np.ndarray) -> np.ndarray:
+        dx = theta[xi] - ax
+        dy = theta[yi] - ay
+        dist = np.maximum(np.sqrt(dx * dx + dy * dy + dz2), 1e-12)
+        J = np.zeros((rows, n_params))
+        obs_rows = np.arange(m)
+        J[obs_rows, xi] = dx / dist
+        J[obs_rows, yi] = dy / dist
+        J[:m, -1] = 1.0
+        if prior_w > 0:
+            J[m, -1] = np.sqrt(prior_w)
+        return J
+
+    return residuals, jacobian
 
 
 def solve_joint_multilateration(
@@ -82,8 +117,6 @@ def solve_joint_multilateration(
     seed: Optional[int] = 0,
     bounds_xy: Optional[tuple] = None,
     offset_prior: Optional[tuple] = None,
-    jac: str = "analytic",
-    model: str = "vectorized",
 ) -> JointLocalizationResult:
     """Solve every UE's position and one shared range offset.
 
@@ -116,29 +149,7 @@ def solve_joint_multilateration(
         residual rows pulling ``b`` toward the prior; the offset is a
         receive-chain constant, so epochs after the first should not
         re-learn it from scratch.
-    jac:
-        One of :data:`JAC_MODES`.  The default analytic Jacobian makes
-        each trust-region step one vectorized evaluation instead of
-        ``2U + 1`` finite-difference residual sweeps; "2-point"
-        reproduces the finite-difference solve (the validation oracle),
-        "sparse-2-point" differences through the block-sparsity
-        pattern (each observation row touches only its UE's two
-        coordinates plus the shared offset) with the lsmr solver.
-    model:
-        One of :data:`MODEL_MODES`.  "vectorized" (default) evaluates
-        the residuals of all UEs in one flat pass; "reference" retains
-        the per-UE-loop residual closure (finite-difference Jacobians
-        only) as the benchmark baseline.  Both produce bit-identical
-        residual values.
     """
-    if jac not in JAC_MODES:
-        raise ValueError(f"jac must be one of {JAC_MODES}, got {jac!r}")
-    if model not in MODEL_MODES:
-        raise ValueError(f"model must be one of {MODEL_MODES}, got {model!r}")
-    if model == "reference" and jac not in ("2-point", "3-point"):
-        raise ValueError(
-            f"the reference model supports finite-difference Jacobians only, got {jac!r}"
-        )
     ue_ids = sorted(observations_by_ue)
     if not ue_ids:
         raise ValueError("need observations for at least one UE")
@@ -149,7 +160,6 @@ def solve_joint_multilateration(
             raise ValueError(f"UE {ue_id}: need at least 3 observations, got {len(obs)}")
         data[ue_id] = _stack_observations(obs)
     orig_counts = {ue_id: len(data[ue_id][1]) for ue_id in ue_ids}
-    n_params = 2 * len(ue_ids) + 1
 
     if offset_prior is not None:
         prior_b, prior_w = float(offset_prior[0]), float(offset_prior[1])
@@ -158,84 +168,15 @@ def solve_joint_multilateration(
     else:
         prior_b, prior_w = 0.0, 0.0
 
-    def flatten(data):
-        """Stack per-UE observations into flat arrays + a UE-index vector."""
-        anchors = np.concatenate([data[u][0] for u in ue_ids], axis=0)
-        ranges = np.concatenate([data[u][1] for u in ue_ids])
-        ue_idx = np.concatenate(
-            [np.full(len(data[u][1]), i, dtype=int) for i, u in enumerate(ue_ids)]
+    def build_model(data):
+        return _joint_model(
+            *_flatten(data, ue_ids), len(ue_ids), ue_z, prior_b, prior_w
         )
-        return anchors, ranges, ue_idx
 
-    def make_model(data):
-        """(residuals, jac, sparsity) closures over the current data."""
-        anchors, ranges, ue_idx = flatten(data)
-        ax, ay = anchors[:, 0], anchors[:, 1]
-        dz2 = (anchors[:, 2] - ue_z) ** 2
-        m = len(ranges)
-        rows = m + (1 if prior_w > 0 else 0)
-        xi, yi = 2 * ue_idx, 2 * ue_idx + 1
-
-        def residuals(theta: np.ndarray) -> np.ndarray:
-            dx = ax - theta[xi]
-            dy = ay - theta[yi]
-            dist = np.sqrt(dx * dx + dy * dy + dz2)
-            out = np.empty(rows)
-            out[:m] = dist + theta[-1] - ranges
-            if prior_w > 0:
-                out[m] = np.sqrt(prior_w) * (theta[-1] - prior_b)
-            return out
-
-        def jac_fn(theta: np.ndarray) -> np.ndarray:
-            dx = theta[xi] - ax
-            dy = theta[yi] - ay
-            dist = np.maximum(np.sqrt(dx * dx + dy * dy + dz2), 1e-12)
-            J = np.zeros((rows, n_params))
-            obs_rows = np.arange(m)
-            J[obs_rows, xi] = dx / dist
-            J[obs_rows, yi] = dy / dist
-            J[:m, -1] = 1.0
-            if prior_w > 0:
-                J[m, -1] = np.sqrt(prior_w)
-            return J
-
-        sparsity = np.zeros((rows, n_params), dtype=bool)
-        obs_rows = np.arange(m)
-        sparsity[obs_rows, xi] = True
-        sparsity[obs_rows, yi] = True
-        sparsity[:, -1] = True
-        return residuals, jac_fn, sparsity
-
-    def make_model_reference(data):
-        """The retained per-UE-loop residual closure (seed behavior)."""
-
-        def residuals(theta: np.ndarray) -> np.ndarray:
-            b = theta[-1]
-            out = []
-            for i, ue_id in enumerate(ue_ids):
-                anchors, ranges = data[ue_id]
-                p = np.array([theta[2 * i], theta[2 * i + 1], ue_z])
-                dist = np.linalg.norm(anchors - p[None, :], axis=1)
-                out.append(dist + b - ranges)
-            if prior_w > 0:
-                out.append(np.array([np.sqrt(prior_w) * (b - prior_b)]))
-            return np.concatenate(out)
-
-        return residuals, None, None
-
-    def solver_kwargs(jac_fn, sparsity):
-        if jac == "analytic":
-            return {"jac": jac_fn}
-        if jac == "sparse-2-point":
-            return {"jac": "2-point", "jac_sparsity": sparsity, "tr_solver": "lsmr"}
-        return {"jac": jac}
-
-    build_model = make_model if model == "vectorized" else make_model_reference
-    residuals, jac_fn, sparsity = build_model(data)
+    residuals, jacobian = build_model(data)
 
     rng = np.random.default_rng(seed)
-    first_anchors, first_ranges = data[ue_ids[0]]
-    centroid = first_anchors[:, :2].mean(axis=0)
+    first_anchors, _ = data[ue_ids[0]]
     spread = max(float(first_anchors[:, :2].std()), 10.0)
 
     if bounds_xy is not None:
@@ -278,7 +219,7 @@ def solve_joint_multilateration(
                 ftol=tol,
                 gtol=tol,
                 bounds=solver_bounds,
-                **solver_kwargs(jac_fn, sparsity),
+                jac=jacobian,
             )
             if best is None or sol.cost < best.cost:
                 best = sol
@@ -293,7 +234,7 @@ def solve_joint_multilateration(
             res = residuals(best.x)
             scale = 1.4826 * float(np.median(np.abs(res - np.median(res))))
             cut = max(2.5, 2.0 * scale)
-            anchors_f, ranges_f, ue_idx_f = flatten(data)
+            anchors_f, ranges_f, ue_idx_f = _flatten(data, ue_ids)
             m = len(ranges_f)
             keep = res[:m] <= cut
             counts = np.bincount(ue_idx_f, minlength=len(ue_ids))
@@ -310,7 +251,7 @@ def solve_joint_multilateration(
                 )
                 for i, ue_id in enumerate(ue_ids)
             }
-            residuals, jac_fn, sparsity = build_model(data)
+            residuals, jacobian = build_model(data)
             best = least_squares(
                 residuals,
                 x0=_clip_theta(best.x),
@@ -321,7 +262,7 @@ def solve_joint_multilateration(
                 ftol=tol,
                 gtol=tol,
                 bounds=solver_bounds,
-                **solver_kwargs(jac_fn, sparsity),
+                jac=jacobian,
             )
 
     theta = best.x

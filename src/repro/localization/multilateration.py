@@ -151,7 +151,6 @@ def solve_multilateration(
     seed: Optional[int] = 0,
     ransac_iters: int = 0,
     ransac_threshold_m: float = 12.0,
-    jac: str = "analytic",
 ) -> MultilaterationResult:
     """Solve for the UE position and the constant range offset.
 
@@ -179,20 +178,11 @@ def solve_multilateration(
         classic Huber-only behavior exactly.
     ransac_threshold_m:
         Inlier residual threshold for the consensus vote.
-    jac:
-        "analytic" (default) evaluates the exact closed-form Jacobian
-        per trust-region step; "2-point"/"3-point" restore SciPy's
-        finite-difference sweeps (the validation oracles; 3-point
-        halves the truncation error for tight equivalence checks).
 
     Returns
     -------
     MultilaterationResult
     """
-    if jac not in ("analytic", "2-point", "3-point"):
-        raise ValueError(
-            f"jac must be 'analytic', '2-point' or '3-point', got {jac!r}"
-        )
     obs = list(observations)
     if len(obs) < 3:
         raise ValueError(f"need at least 3 observations, got {len(obs)}")
@@ -232,7 +222,7 @@ def solve_multilateration(
         sol = least_squares(
             _residuals,
             x0=np.array([p0[0], p0[1], b0]),
-            jac=_jac if jac == "analytic" else jac,
+            jac=_jac,
             args=(anchors, ranges, ue_z),
             loss="huber",
             f_scale=huber_delta_m,

@@ -102,42 +102,6 @@ def aggregate_tof_to_gps(
     ]
 
 
-def aggregate_tof_to_gps_reference(
-    gps_times_s: Sequence[float],
-    gps_xyz: np.ndarray,
-    tof_times_s: Sequence[float],
-    ranges_m: Sequence[float],
-) -> List[GpsRange]:
-    """Retained mask-per-fix loop behind :func:`aggregate_tof_to_gps`.
-
-    The O(fixes x reports) implementation the aggregation shipped
-    with — kept as the equivalence oracle for the vectorized path and
-    as the honest baseline the localization benchmark times against.
-    """
-    gps_times = np.asarray(gps_times_s, dtype=float)
-    gps_xyz = np.asarray(gps_xyz, dtype=float)
-    tof_times = np.asarray(tof_times_s, dtype=float)
-    ranges = np.asarray(ranges_m, dtype=float)
-    if gps_xyz.shape != (len(gps_times), 3):
-        raise ValueError(
-            f"gps_xyz must be ({len(gps_times)}, 3), got {gps_xyz.shape}"
-        )
-    if tof_times.shape != ranges.shape:
-        raise ValueError("tof_times_s and ranges_m must have the same length")
-    if np.any(np.diff(gps_times) < 0):
-        raise ValueError("gps_times_s must be non-decreasing")
-    out: List[GpsRange] = []
-    for i, t in enumerate(gps_times):
-        t_next = gps_times[i + 1] if i + 1 < len(gps_times) else np.inf
-        mask = (tof_times >= t) & (tof_times < t_next)
-        if not mask.any():
-            continue
-        out.append(
-            GpsRange(gps_xyz=gps_xyz[i], range_m=float(ranges[mask].mean()), t_s=float(t))
-        )
-    return out
-
-
 def mad_filter(
     observations: Sequence[GpsRange],
     k: float = 4.0,
@@ -177,40 +141,6 @@ def mad_filter(
         trend[i] = np.median(r[max(0, i - half) : i + half + 1])
     for i in range(max(half, n - half), n):
         trend[i] = np.median(r[max(0, i - half) : i + half + 1])
-    resid = r - trend
-    center = np.median(resid)
-    mad = np.median(np.abs(resid - center))
-    scale = 1.4826 * mad
-    if scale <= 1e-9:
-        return obs
-    upper = (k_pos if k_pos is not None else k) * scale
-    keep = (resid - center >= -k * scale) & (resid - center <= upper)
-    return [o for o, good in zip(obs, keep) if good]
-
-
-def mad_filter_reference(
-    observations: Sequence[GpsRange],
-    k: float = 4.0,
-    k_pos: Optional[float] = None,
-) -> List[GpsRange]:
-    """Retained per-point moving-median loop behind :func:`mad_filter`.
-
-    Kept as the equivalence oracle for the sliding-window-view trend
-    and as the honest baseline for the localization benchmark.
-    """
-    if k <= 0:
-        raise ValueError(f"k must be positive, got {k}")
-    if k_pos is not None and k_pos <= 0:
-        raise ValueError(f"k_pos must be positive, got {k_pos}")
-    obs = list(observations)
-    if len(obs) < 5:
-        return obs
-    r = np.array([o.range_m for o in obs])
-    window = min(11, len(r) | 1)  # odd window
-    half = window // 2
-    trend = np.array(
-        [np.median(r[max(0, i - half) : i + half + 1]) for i in range(len(r))]
-    )
     resid = r - trend
     center = np.median(resid)
     mad = np.median(np.abs(resid - center))

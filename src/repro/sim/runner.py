@@ -183,7 +183,6 @@ def _epoch_record(scenario: Scenario, controller, result, prev, **fields) -> Epo
             scenario, result, getattr(controller, "rem_grid", scenario.eval_grid)
         )
     mac = getattr(controller, "last_mac_summary", None) or {}
-    fields.setdefault("rem_groups", getattr(result, "n_rem_groups", None))
     return EpochRecord(
         flight_distance_m=result.flight_distance_m,
         flight_time_s=result.flight_time_s,
@@ -196,6 +195,7 @@ def _epoch_record(scenario: Scenario, controller, result, prev, **fields) -> Epo
         served_mbps=mac.get("served_mbps"),
         backlog_bytes=mac.get("backlog_bytes"),
         dropped_bytes=mac.get("dropped_bytes"),
+        rem_groups=getattr(result, "n_rem_groups", None),
         **fields,
     )
 
@@ -337,8 +337,6 @@ def _run_event_epochs(
             detaches=delta["detaches"],
             rach_collisions=delta["rach_collisions"],
             barred=delta["barred"],
-            # Event-driven records have never carried the dedup count.
-            rem_groups=None,
         )
 
     def on_population_change(t_s: float) -> None:

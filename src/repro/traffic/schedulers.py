@@ -19,18 +19,20 @@ usable link?  Three classic disciplines are provided:
     Per-PRB greedy argmin of bytes granted so far this TTI: equalizes
     granted capacity in bytes, so low-rate UEs get more PRBs.
 
-Every scheduler implements the vectorized path (numpy over UEs, used
-by the TTI-batch kernel) **and** a pure-Python reference path
-(``grants_reference``) performing the identical float operations in
-the identical order, so the two are bit-exact — the equivalence the
-traffic smoke gate asserts.  Ties in the greedy argmax/argmin resolve
-to the first UE in *rotated* schedulable order (rotation = ``tti mod
-n_active``), which is what aligns all three disciplines on the same
-grant under full symmetry.
+A scheduler implements four methods: ``reset``, ``grants`` (one
+TTI's int64 PRB split), ``grants_slab`` and ``update`` (observe the
+TTI's served bytes).  Round-robin grants are numpy over UEs; the
+greedy PF and max-min grants are plain Python loops over the handful
+of schedulable UEs, which at the cell sizes any caller runs (≤ 10
+UEs, 50 PRBs) beats one numpy reduction per PRB several times over.
+Ties in the greedy argmax/argmin resolve to the first UE in *rotated*
+schedulable order (rotation = ``tti mod n_active``), which is what
+aligns all three disciplines on the same grant under full symmetry.
 
-Stateless disciplines additionally expose ``grants_slab`` — a whole
-(UEs x TTIs) grant matrix in one shot — which the kernel uses when the
-schedulable set cannot change within a batch (full-buffer runs).
+Stateless disciplines answer ``grants_slab`` with a whole (UEs x TTIs)
+grant matrix in one shot, which the kernel uses when the schedulable
+set cannot change within a batch (full-buffer runs); stateful ones
+return None.
 """
 
 from __future__ import annotations
@@ -41,8 +43,7 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 #: Denominator floor for the PF metric when a UE's EWMA average is
-#: still zero (never served, zero-rate history).  Applied identically
-#: in the vectorized and reference paths so they stay bit-exact.
+#: still zero (never served, zero-rate history).
 TINY_BYTES = 1e-12
 
 
@@ -92,25 +93,6 @@ class RoundRobinScheduler:
             out[idx[((pos - rho) % n_a) < rem]] += 1
         return out
 
-    def grants_reference(
-        self,
-        schedulable,
-        bytes_per_prb,
-        n_prb: int,
-        tti: int,
-    ) -> list:
-        n = len(schedulable)
-        out = [0] * n
-        idx = [i for i in range(n) if schedulable[i]]
-        n_a = len(idx)
-        if n_a == 0:
-            return out
-        base, rem = divmod(int(n_prb), n_a)
-        rho = int(tti) % n_a
-        for pos, i in enumerate(idx):
-            out[i] = base + (1 if (pos - rho) % n_a < rem else 0)
-        return out
-
     def grants_slab(
         self,
         schedulable: np.ndarray,
@@ -137,9 +119,6 @@ class RoundRobinScheduler:
         return out
 
     def update(self, served_bytes: np.ndarray) -> None:
-        pass
-
-    def update_reference(self, served_bytes) -> None:
         pass
 
 
@@ -182,36 +161,7 @@ class ProportionalFairScheduler:
     ) -> np.ndarray:
         rates = np.asarray(bytes_per_prb, dtype=float)
         self._ensure_avg(rates)
-        n = len(schedulable)
-        out = np.zeros(n, dtype=np.int64)
-        order = rotated_schedulable(schedulable, tti)
-        n_a = len(order)
-        if n_a == 0:
-            return out
-        r = rates[order]
-        avg = self._avg_bytes[order]
-        pending = np.zeros(n_a, dtype=float)
-        counts = np.zeros(n_a, dtype=np.int64)
-        for _ in range(int(n_prb)):
-            denom = avg + pending
-            denom = np.where(denom > 0.0, denom, TINY_BYTES)
-            k = int(np.argmax(r / denom))
-            pending[k] += r[k]
-            counts[k] += 1
-        out[order] = counts
-        return out
-
-    def grants_reference(
-        self,
-        schedulable,
-        bytes_per_prb,
-        n_prb: int,
-        tti: int,
-    ) -> list:
-        rates = np.asarray(bytes_per_prb, dtype=float)
-        self._ensure_avg(rates)
-        n = len(schedulable)
-        out = [0] * n
+        out = np.zeros(len(schedulable), dtype=np.int64)
         order = [int(i) for i in rotated_schedulable(schedulable, tti)]
         n_a = len(order)
         if n_a == 0:
@@ -233,8 +183,7 @@ class ProportionalFairScheduler:
                     best_k = k
             pending[best_k] += r[best_k]
             counts[best_k] += 1
-        for k, i in enumerate(order):
-            out[i] = counts[k]
+        out[order] = counts
         return out
 
     def grants_slab(self, schedulable, bytes_per_prb, n_prb, tti0, n_tti):
@@ -245,15 +194,6 @@ class ProportionalFairScheduler:
         self._ensure_avg(np.zeros_like(served))
         alpha = 1.0 / float(self.time_constant_tti)
         self._avg_bytes = (1.0 - alpha) * self._avg_bytes + alpha * served
-
-    def update_reference(self, served_bytes) -> None:
-        served = np.asarray(served_bytes, dtype=float)
-        self._ensure_avg(np.zeros_like(served))
-        alpha = 1.0 / float(self.time_constant_tti)
-        for i in range(len(served)):
-            self._avg_bytes[i] = (1.0 - alpha) * float(self._avg_bytes[i]) + alpha * float(
-                served[i]
-            )
 
 
 @dataclass
@@ -273,32 +213,7 @@ class MaxMinScheduler:
         tti: int,
     ) -> np.ndarray:
         rates = np.asarray(bytes_per_prb, dtype=float)
-        n = len(schedulable)
-        out = np.zeros(n, dtype=np.int64)
-        order = rotated_schedulable(schedulable, tti)
-        n_a = len(order)
-        if n_a == 0:
-            return out
-        r = rates[order]
-        pending = np.zeros(n_a, dtype=float)
-        counts = np.zeros(n_a, dtype=np.int64)
-        for _ in range(int(n_prb)):
-            k = int(np.argmin(pending))
-            pending[k] += r[k]
-            counts[k] += 1
-        out[order] = counts
-        return out
-
-    def grants_reference(
-        self,
-        schedulable,
-        bytes_per_prb,
-        n_prb: int,
-        tti: int,
-    ) -> list:
-        rates = np.asarray(bytes_per_prb, dtype=float)
-        n = len(schedulable)
-        out = [0] * n
+        out = np.zeros(len(schedulable), dtype=np.int64)
         order = [int(i) for i in rotated_schedulable(schedulable, tti)]
         n_a = len(order)
         if n_a == 0:
@@ -315,8 +230,7 @@ class MaxMinScheduler:
                     best_k = k
             pending[best_k] += r[best_k]
             counts[best_k] += 1
-        for k, i in enumerate(order):
-            out[i] = counts[k]
+        out[order] = counts
         return out
 
     def grants_slab(
@@ -341,9 +255,6 @@ class MaxMinScheduler:
         return patterns[:, (int(tti0) + np.arange(n_tti)) % n_a]
 
     def update(self, served_bytes: np.ndarray) -> None:
-        pass
-
-    def update_reference(self, served_bytes) -> None:
         pass
 
 

@@ -15,7 +15,6 @@ import pytest
 
 from repro.city import (
     DEFAULT_SHARD_UES,
-    SHARD_ENV,
     CityScenario,
     ShardRoundRobin,
     UEPopulation,
@@ -54,15 +53,9 @@ def rates(population):
 # -- shard sizing ----------------------------------------------------------------
 
 
-def test_shard_size_sources(monkeypatch):
-    monkeypatch.delenv(SHARD_ENV, raising=False)
+def test_shard_size_sources():
     assert shard_size() == DEFAULT_SHARD_UES
     assert shard_size(7) == 7
-    monkeypatch.setenv(SHARD_ENV, "512")
-    assert shard_size() == 512
-    assert shard_size(3) == 3  # explicit override beats the env
-    monkeypatch.setenv(SHARD_ENV, "not-a-number")
-    assert shard_size() == DEFAULT_SHARD_UES
     with pytest.raises(ValueError, match="shard size"):
         shard_size(0)
 

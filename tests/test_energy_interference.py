@@ -3,10 +3,24 @@
 import numpy as np
 import pytest
 
-from repro.channel.interference import fleet_sinr_db, sinr_db
+from repro.channel.interference import fleet_sinr_db, fleet_sinr_db_stack
 from repro.channel.model import ChannelModel
 from repro.flight.energy import EnergyBudget
 from repro.flight.uav import Battery
+from tests.oracles import sinr_db as sinr_db_loop
+
+
+def sinr_db(channel, uav_positions, ue, serving_index, activity=None):
+    """One UE's SINR through the batched fleet stack.
+
+    Also checks the stack against the scalar per-(UAV, UE) loop, bit
+    for bit, on every configuration these tests build.
+    """
+    out = float(
+        fleet_sinr_db_stack(channel, uav_positions, [ue], [serving_index], activity)[0]
+    )
+    assert out == sinr_db_loop(channel, uav_positions, ue, serving_index, activity)
+    return out
 
 
 class TestEnergyBudget:

@@ -464,6 +464,44 @@ class TestRunnerIntegration:
         assert event_result.event_counters["arrivals"] == 3
         assert sum(event_result.population.values()) == 3
 
+    def test_event_records_carry_rem_groups(self):
+        # Event-driven epochs record the controller's REM-group count
+        # like `run_epochs` does: a skyran epoch over the same
+        # attached UEs reports the same integer.
+        from repro.core.config import SkyRANConfig
+        from repro.sim.runner import run_simulation
+        from repro.sim.scenario import Scenario
+
+        cfg = SkyRANConfig(rem_cell_size_m=16.0, measurement_budget_m=250.0)
+        common = dict(budget_per_epoch_m=250.0, seed=5, altitude=60.0)
+        scenario = Scenario.create("campus", n_ues=3, cell_size=8.0, seed=3)
+        attached = []
+        result = run_simulation(
+            scenario,
+            cfg,
+            scheme="events",
+            n_epochs=2,
+            events=EventConfig(
+                arrival_process="uniform", arrival_window_s=10.0, kpi_period_s=10.0
+            ),
+            serve_time_s=40.0,
+            on_epoch=lambda rec: attached.append(
+                {ue.ue_id for ue in scenario.enodeb.connected_ues()}
+            ),
+            **common,
+        )
+        assert result.records
+        for rec, ids in zip(result.records, attached):
+            assert isinstance(rec.rem_groups, int)
+            fixed = Scenario.create("campus", n_ues=3, cell_size=8.0, seed=3)
+            for ue in list(fixed.enodeb.ues):
+                if ue.ue_id not in ids:
+                    fixed.enodeb.deregister_ue(ue.ue_id)
+            (want,) = run_simulation(
+                fixed, cfg, scheme="skyran", n_epochs=1, **common
+            ).records
+            assert rec.rem_groups == want.rem_groups == len(ids)
+
     def test_default_scheme_has_no_event_fields(self):
         from repro.core.config import SkyRANConfig
         from repro.sim.runner import run_simulation

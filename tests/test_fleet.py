@@ -4,8 +4,8 @@ The fleet promises three things worth pinning down hard:
 
 * the hysteresis knob prevents boundary UEs from ping-ponging between
   cells under SINR jitter smaller than the hysteresis margin;
-* streamed SINR tiles assemble bit-identically to the materialized
-  stack for *every* tiling, interferers or not;
+* an SINR map (an SNR map minus the per-UE interference penalty) is
+  exactly the SNR map without interferers and never above it with;
 * nothing physical depends on the arbitrary order cells are listed in
   — permuting the fleet permutes the labels and changes no SINR.
 """
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.channel.interference import sinr_db_from_rx_stack
+from repro.channel.interference import interference_penalty_db, sinr_db_from_rx_stack
 from repro.channel.linkbudget import LinkBudget
 from repro.core.association import (
     UNATTACHED,
@@ -82,7 +82,7 @@ class TestHandoverHysteresis:
         assert {"best_sinr", "sticky", "load_aware"} <= set(names)
 
 
-# -- streamed SINR tiles vs the materialized stack -----------------------------
+# -- SINR maps: SNR maps minus the interference penalty ------------------------
 
 
 class TestSinrTiles:
@@ -95,45 +95,23 @@ class TestSinrTiles:
         ]
         return scenario, interferers
 
-    @pytest.mark.parametrize("tile_rows", [7, 13, 50])
-    @pytest.mark.parametrize("ue_chunk", [None, 1, 2])
-    def test_tiles_match_materialized(self, world, tile_rows, ue_chunk):
-        scenario, interferers = world
+    @staticmethod
+    def _sinr_maps(scenario, interferers):
         ues = scenario.ue_positions()
-        grid = scenario.eval_grid
-        stack = scenario.channel.sinr_maps(
-            ues, 60.0, grid, interferer_positions=interferers
-        )
-        assembled = np.full_like(stack, np.nan)
-        for ue_sl, row_sl, block in scenario.channel.iter_sinr_map_tiles(
-            ues,
-            60.0,
-            grid,
-            interferer_positions=interferers,
-            tile_rows=tile_rows,
-            ue_chunk=ue_chunk,
-        ):
-            assembled[ue_sl, row_sl] = block
-        assert not np.isnan(assembled).any()
-        assert np.array_equal(assembled, stack)
+        snr = scenario.channel.snr_maps(ues, 60.0, scenario.eval_grid)
+        penalty = interference_penalty_db(scenario.channel, ues, interferers)
+        return snr - penalty[:, None, None], snr
 
     def test_no_interferers_is_exactly_snr(self, world):
         scenario, _ = world
-        ues = scenario.ue_positions()
-        grid = scenario.eval_grid
-        sinr = scenario.channel.sinr_maps(ues, 60.0, grid)
-        snr = scenario.channel.snr_maps(ues, 60.0, grid)
+        sinr, snr = self._sinr_maps(scenario, [])
         assert np.array_equal(sinr, snr)
 
     def test_interference_only_costs(self, world):
         scenario, interferers = world
-        ues = scenario.ue_positions()
-        grid = scenario.eval_grid
-        sinr = scenario.channel.sinr_maps(
-            ues, 60.0, grid, interferer_positions=interferers
-        )
-        snr = scenario.channel.snr_maps(ues, 60.0, grid)
+        sinr, snr = self._sinr_maps(scenario, interferers)
         assert (sinr <= snr + 1e-12).all()
+        assert (sinr < snr).any()
 
 
 # -- cell-order invariance -----------------------------------------------------

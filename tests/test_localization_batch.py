@@ -1,30 +1,32 @@
-"""Batched SRS/ToF localization kernel vs. per-symbol reference.
+"""Batched SRS/ToF localization kernels vs. the per-symbol oracles.
 
-The batch kernels promise *bit-identical* results to the retained
-per-symbol/per-fix reference implementations under the documented RNG
-draw schedule; these tests hold them to it, end to end: channel,
-Eq. 1-3 estimator, flight collection (including fault injection and
-quality gating), ToF-to-GPS aggregation, MAD filtering, and the
-analytic-Jacobian joint solve against its finite-difference oracle.
+The batch kernels promise *bit-identical* results to the per-symbol /
+per-fix oracles in :mod:`tests.oracles` under the documented RNG draw
+schedule; these tests hold them to it, end to end: channel, Eq. 1-3
+estimator, flight collection (including fault injection and quality
+gating), ToF-to-GPS aggregation and MAD filtering.  The analytic
+Jacobians are checked against SciPy's 3-point finite differences, the
+vectorized joint residuals against the per-UE loop, and the joint
+solve against the seed finite-difference solver.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize._numdiff import approx_derivative
 
 from repro.faults import FaultInjector, FaultPlan
-from repro.flight.sampler import collect_gps_ranges, collect_gps_ranges_reference
+from repro.flight.sampler import collect_gps_ranges
 from repro.flight.uav import UAV
-from repro.localization.joint import solve_joint_multilateration
-from repro.localization.multilateration import solve_multilateration
-from repro.localization.ranging import (
-    GpsRange,
-    aggregate_tof_to_gps,
-    aggregate_tof_to_gps_reference,
-    mad_filter,
-    mad_filter_reference,
+from repro.localization.joint import (
+    _flatten,
+    _joint_model,
+    _stack_observations,
+    solve_joint_multilateration,
 )
+from repro.localization.multilateration import _jac, _residuals
+from repro.localization.ranging import GpsRange, aggregate_tof_to_gps, mad_filter
 from repro.lte.srs import (
     SRSConfig,
     _largest_prime_at_most,
@@ -36,13 +38,21 @@ from repro.lte.srs import (
 )
 from repro.lte.tof import (
     ToFEstimator,
-    correlation_quality,
-    estimate_delay_and_quality,
+    correlation_quality_batch,
+    estimate_delay_samples,
     estimate_delays_batch,
 )
 from repro.perf import perf
 from repro.sim.scenario import Scenario
 from repro.trajectory.random_flight import random_flight
+from tests.oracles import (
+    aggregate_tof_to_gps_reference,
+    collect_gps_ranges_reference,
+    estimate_delay_and_quality,
+    joint_residuals_reference,
+    mad_filter_reference,
+    solve_joint_multilateration_seed,
+)
 
 pytestmark = pytest.mark.localization
 
@@ -132,6 +142,7 @@ class TestEstimatorBatch:
             d, q = estimate_delay_and_quality(row, symbol, 4)
             assert delays[i] == d
             assert qualities[i] == q
+            assert estimate_delay_samples(row, symbol, 4) == d
 
     def test_empty_batch(self):
         symbol = make_srs_symbol(CFG)
@@ -146,6 +157,11 @@ class TestEstimatorBatch:
             estimate_delays_batch(
                 np.zeros((2, CFG.n_fft), dtype=complex), symbol, upsampling=0
             )
+
+
+def correlation_quality(mag, peak, guard=None):
+    """One profile through the batched quality kernel."""
+    return float(correlation_quality_batch(mag[None, :], np.array([peak]), guard)[0])
 
 
 class TestCorrelationQuality:
@@ -274,33 +290,36 @@ class TestCollectEquivalence:
         )
 
 
+def _campus_observations(campus_flight):
+    scenario, log, estimator, bounds = campus_flight
+    obs = {}
+    for ue in scenario.ues:
+        o = mad_filter(
+            collect_gps_ranges(
+                log,
+                ue,
+                scenario.channel,
+                scenario.enodeb,
+                estimator,
+                np.random.default_rng(1),
+            )
+        )
+        if len(o) >= 3:
+            obs[ue.ue_id] = o
+    assert len(obs) >= 3
+    return obs, bounds
+
+
 class TestJointSolver:
     def test_analytic_matches_finite_difference(self, campus_flight):
         # The Fig. 18-style acceptance check: the analytic Jacobian
-        # joint solve must land within 1e-6 m of the 3-point
-        # finite-difference oracle on a real campus flight (2-point FD
-        # truncation error floors around 1e-5 m and is benchmarked
-        # separately).
-        scenario, log, estimator, bounds = campus_flight
-        obs = {}
-        for ue in scenario.ues:
-            o = mad_filter(
-                collect_gps_ranges(
-                    log,
-                    ue,
-                    scenario.channel,
-                    scenario.enodeb,
-                    estimator,
-                    np.random.default_rng(1),
-                )
-            )
-            if len(o) >= 3:
-                obs[ue.ue_id] = o
-        assert len(obs) >= 3
-        res_a = solve_joint_multilateration(
-            obs, bounds_xy=bounds, jac="analytic", tol=1e-12
-        )
-        res_fd = solve_joint_multilateration(
+        # joint solve must land within 1e-6 m of the seed
+        # finite-difference solver on a real campus flight.  3-point
+        # differences keep the oracle's own truncation error well
+        # below that bound (2-point floors around 1e-5 m).
+        obs, bounds = _campus_observations(campus_flight)
+        res_a = solve_joint_multilateration(obs, bounds_xy=bounds, tol=1e-12)
+        res_fd = solve_joint_multilateration_seed(
             obs, bounds_xy=bounds, jac="3-point", tol=1e-12
         )
         for u in res_a.per_ue:
@@ -310,43 +329,53 @@ class TestJointSolver:
             assert delta < 1e-6
         assert res_a.offset_m == pytest.approx(res_fd.offset_m, abs=1e-6)
 
-    def test_reference_model_matches_vectorized(self, rng):
-        # Both residual models are bit-identical functions of theta, so
-        # the same finite-difference solve lands on the same answer.
-        ues = {1: np.array([20.0, 20.0, 1.5]), 2: np.array([-40.0, 10.0, 1.5])}
-        obs = {
-            k: _circle_obs(v, 90.0, 40, 45.0, 137.0, 0.5, rng)
-            for k, v in ues.items()
-        }
-        res_vec = solve_joint_multilateration(obs, jac="2-point")
-        res_ref = solve_joint_multilateration(obs, jac="2-point", model="reference")
-        for k in res_vec.per_ue:
-            assert np.array_equal(
-                res_vec.per_ue[k].position, res_ref.per_ue[k].position
+    def test_reference_model_matches_vectorized(self, campus_flight):
+        # The vectorized residuals are the per-UE loop, bit for bit, at
+        # any theta, with and without an offset prior row.
+        obs, _ = _campus_observations(campus_flight)
+        ue_ids = sorted(obs)
+        data = {u: _stack_observations(obs[u]) for u in ue_ids}
+        rng = np.random.default_rng(4)
+        for prior_b, prior_w in ((0.0, 0.0), (137.0, 4.0)):
+            residuals, _ = _joint_model(
+                *_flatten(data, ue_ids), len(ue_ids), 1.5, prior_b, prior_w
             )
-        assert res_vec.offset_m == res_ref.offset_m
+            for _ in range(5):
+                theta = rng.normal(0.0, 80.0, 2 * len(ue_ids) + 1)
+                want = joint_residuals_reference(
+                    theta, data, ue_ids, 1.5, prior_b, prior_w
+                )
+                assert np.array_equal(residuals(theta), want)
 
-    def test_sparse_jacobian_well_conditioned(self, rng):
-        ue = np.array([10.0, -15.0, 1.5])
-        obs = {1: _circle_obs(ue, 100.0, 60, 50.0, 137.0, 0.0, rng)}
-        res = solve_joint_multilateration(obs, jac="sparse-2-point")
-        assert np.hypot(*(res.per_ue[1].position[:2] - ue[:2])) < 0.5
-
-    def test_mode_validation(self):
-        obs = {1: [GpsRange(np.zeros(3), 1.0, float(i)) for i in range(3)]}
-        with pytest.raises(ValueError, match="jac"):
-            solve_joint_multilateration(obs, jac="4-point")
-        with pytest.raises(ValueError, match="model"):
-            solve_joint_multilateration(obs, model="looped")
-        with pytest.raises(ValueError, match="finite-difference"):
-            solve_joint_multilateration(obs, jac="analytic", model="reference")
+    def test_joint_jacobian_matches_finite_difference(self, campus_flight):
+        obs, _ = _campus_observations(campus_flight)
+        ue_ids = sorted(obs)
+        data = {u: _stack_observations(obs[u]) for u in ue_ids}
+        rng = np.random.default_rng(5)
+        for prior_b, prior_w in ((0.0, 0.0), (137.0, 4.0)):
+            residuals, jacobian = _joint_model(
+                *_flatten(data, ue_ids), len(ue_ids), 1.5, prior_b, prior_w
+            )
+            for _ in range(3):
+                theta = rng.normal(0.0, 80.0, 2 * len(ue_ids) + 1)
+                fd = approx_derivative(residuals, theta, method="3-point")
+                np.testing.assert_allclose(jacobian(theta), fd, rtol=0, atol=1e-7)
 
     def test_single_ue_jac_modes_agree(self, rng):
+        # The single-UE analytic Jacobian against SciPy's 3-point
+        # finite differences of the same residuals.
         ue = np.array([30.0, -20.0, 1.5])
-        obs = _circle_obs(ue, 100.0, 60, 50.0, 137.0, 0.0, rng)
-        res_a = solve_multilateration(obs, jac="analytic", tol=1e-12)
-        res_fd = solve_multilateration(obs, jac="3-point", tol=1e-12)
-        assert np.linalg.norm(res_a.position - res_fd.position) < 1e-6
+        obs = _circle_obs(ue, 100.0, 60, 50.0, 137.0, 0.5, rng)
+        anchors = np.array([o.gps_xyz for o in obs])
+        ranges = np.array([o.range_m for o in obs])
+        for theta in ([0.0, 0.0, 100.0], [30.5, -19.0, 137.0], [-80.0, 45.0, 0.0]):
+            theta = np.array(theta)
+            fd = approx_derivative(
+                _residuals, theta, method="3-point", args=(anchors, ranges, 1.5)
+            )
+            np.testing.assert_allclose(
+                _jac(theta, anchors, ranges, 1.5), fd, rtol=0, atol=1e-7
+            )
 
 
 def _circle_obs(ue, radius, n, alt, offset, noise, rng):

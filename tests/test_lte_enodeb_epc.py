@@ -120,7 +120,7 @@ class TestENodeB:
         enb = ENodeB()
         ue = _ue(1)
         enb.register_ue(ue)
-        rx = enb.receive_srs(ue, true_delay_samples=7.0, snr_db=30.0, rng=rng)
+        rx = enb.receive_srs_batch(ue, np.array([7.0]), np.array([30.0]), rng)[0]
         known = enb.known_srs_symbol(ue)
         corr = np.abs(np.fft.ifft(rx * np.conj(known)))
         assert int(np.argmax(corr)) == 7

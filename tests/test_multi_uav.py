@@ -7,6 +7,7 @@ from repro.core.config import SkyRANConfig
 from repro.core.fleet import FleetController
 from repro.lte.throughput import throughput_mbps
 from repro.sim.scenario import Scenario
+from tests.oracles import per_ue_sinr_db_reference, per_ue_snr_db_reference
 
 
 @pytest.fixture()
@@ -147,8 +148,8 @@ class TestBatchedKPIs:
             reuse_factor=2,
         )
         fleet.run_epoch(budget_per_uav_m=150.0)
-        assert fleet.per_ue_snr_db() == fleet.per_ue_snr_db_reference()
-        assert fleet.per_ue_sinr_db() == fleet.per_ue_sinr_db_reference()
+        assert fleet.per_ue_snr_db() == per_ue_snr_db_reference(fleet)
+        assert fleet.per_ue_sinr_db() == per_ue_sinr_db_reference(fleet)
 
     def test_sinr_leq_snr(self, world):
         fleet = FleetController(

@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.channel.groundtruth import ground_truth_stack, iter_ground_truth_tiles
 from repro.core.placement import max_min_placement, uncertainty_penalty_db
 from repro.geo.grid import GridSpec
 from repro.rem.aggregate import min_snr_map
@@ -71,13 +70,6 @@ def test_snr_tiles_bit_identical_to_snr_maps(box_channel, ues, tile_rows, ue_chu
         ues, ALTITUDE, tile_rows=tile_rows, ue_chunk=ue_chunk
     )
     rebuilt = _reassemble(tiles, len(ues), grid.shape)
-    assert np.array_equal(rebuilt, stack)
-
-
-def test_ground_truth_tiles_match_stack(box_channel, ues):
-    stack = ground_truth_stack(box_channel, ues, ALTITUDE, use_cache=False)
-    tiles = iter_ground_truth_tiles(box_channel, ues, ALTITUDE, tile_rows=9)
-    rebuilt = _reassemble(tiles, len(ues), box_channel.terrain.grid.shape)
     assert np.array_equal(rebuilt, stack)
 
 

@@ -27,6 +27,7 @@ from repro.traffic import (
 )
 from repro.traffic.generators import BYTES_PER_TTI_PER_MBPS
 from repro.traffic.simulate import rate_per_prb_bytes
+from tests.oracles import run_tti_batch_reference
 
 pytestmark = pytest.mark.traffic
 
@@ -150,7 +151,7 @@ class TestQueueBank:
         assert q.total_backlog_bytes() == np.inf
 
 
-# -- kernel vs reference --------------------------------------------------------
+# -- kernel vs the per-TTI replay oracle ---------------------------------------
 
 
 def _batch(scheduler_name, *, limit=0.0, full_buffer=False, n_tti=300, reference=False):
@@ -164,12 +165,12 @@ def _batch(scheduler_name, *, limit=0.0, full_buffer=False, n_tti=300, reference
             [model.source(u, seed=9).offered_bytes(n_tti) for u in ue_ids]
         )
     queues = QueueBank(ue_ids, limit_bytes=limit, full_buffer=full_buffer)
-    result = run_tti_batch(
+    run = run_tti_batch_reference if reference else run_tti_batch
+    result = run(
         bytes_per_prb=rates,
         offered_bytes=offered,
         scheduler=make_scheduler(scheduler_name),
         queues=queues,
-        reference=reference,
     )
     return result, queues
 
